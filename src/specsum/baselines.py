@@ -7,8 +7,11 @@ eigendecomposition -- and report a matvec ledger (one dense matvec is
 charged as n^2 unit operations) so their cost can be compared
 head-to-head with the quantum-model estimators' query ledgers.
 
-Probes are drawn from independent counter-based streams, so results
-are deterministic given the seed and independent of evaluation order.
+The recurrences run on n x k blocks of probes, so each step is one
+matrix-matrix product over the block rather than k matvecs; the ledger
+still charges every probe's matvecs one by one.  Probes are drawn from
+independent counter-based streams, so results are deterministic given
+the seed and independent of evaluation order and block size.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ _HUTCH_C = 24.0
 # Stream index reserved for probe draws.
 _PROBE_STREAM = 29
 
+# Probes per block: bounds the n x k working set of the recurrences
+# whatever num_probes is.
+_PROBE_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
@@ -87,11 +94,24 @@ def _probe(n: int, kind: str, seed: int, index: int) -> np.ndarray:
     return rng.standard_normal(n)
 
 
+def _coldot(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Column-wise inner products z_j^T v_j of two n x k blocks."""
+    return np.einsum("ij,ij->j", Z, V)
+
+
 def _quadform_samples(qform, n: int, cfg: ProbeConfig) -> tuple[float, float]:
-    """Mean and standard error of z^T M z over the probe ensemble."""
-    vals = np.array(
-        [qform(_probe(n, cfg.probe_kind, cfg.seed, i)) for i in range(cfg.num_probes)]
-    )
+    """Mean and standard error of z^T M z over the probe ensemble.
+
+    qform maps an n x k block of probes (one probe per column) to the k
+    quadratic forms; probes are fed in blocks of at most _PROBE_BLOCK.
+    """
+    blocks = []
+    for start in range(0, cfg.num_probes, _PROBE_BLOCK):
+        stop = min(start + _PROBE_BLOCK, cfg.num_probes)
+        Z = np.stack([_probe(n, cfg.probe_kind, cfg.seed, i) for i in range(start, stop)],
+                     axis=1)
+        blocks.append(qform(Z))
+    vals = np.concatenate(blocks)
     mean = float(np.mean(vals))
     stderr = 0.0
     if cfg.num_probes > 1:
@@ -124,7 +144,9 @@ def hutchinson_trace(matvec, n: int, cfg: ProbeConfig,
         and whose queries_charged counts matvec unit operations.
     """
     cost = float(n * n) if matvec_cost is None else float(matvec_cost)
-    mean, stderr = _quadform_samples(lambda z: float(z @ matvec(z)), n, cfg)
+    mean, stderr = _quadform_samples(
+        lambda Z: np.array([float(z @ matvec(z)) for z in Z.T]), n, cfg
+    )
     return Estimate(
         value=mean,
         abs_error_bound=3.0 * stderr,
@@ -186,12 +208,12 @@ def classical_logdet_taylor(A: SymmetricMatrix, eps: float,
     m = taylor_logdet_degree(kappa_eff, eps / 2.0)
     mat = np.asarray(A.entries)
 
-    def qform(z):
-        v = z.copy()
-        acc = 0.0
+    def qform(Z):
+        V = Z
+        acc = np.zeros(Z.shape[1])
         for k in range(1, m + 1):
-            v = v - mat @ v
-            acc += float(z @ v) / k
+            V = V - mat @ V
+            acc += _coldot(Z, V) / k
         return acc
 
     mean, stderr = _quadform_samples(qform, n, cfg)
@@ -230,16 +252,16 @@ def classical_logdet_chebyshev(A: SymmetricMatrix, eps: float,
     mat = np.asarray(A.entries)
     scale = 1.0 / (1.0 - 2.0 * delta_c)
 
-    def mapped(v):
-        return scale * (2.0 * (mat @ v) - v)
+    def mapped(V):
+        return scale * (2.0 * (mat @ V) - V)
 
-    def qform(z):
-        t_prev = z
-        t_cur = mapped(z)
-        acc = coeffs[0] * float(z @ t_prev) + coeffs[1] * float(z @ t_cur)
+    def qform(Z):
+        t_prev = Z
+        t_cur = mapped(Z)
+        acc = coeffs[0] * _coldot(Z, t_prev) + coeffs[1] * _coldot(Z, t_cur)
         for j in range(2, d + 1):
             t_prev, t_cur = t_cur, 2.0 * mapped(t_cur) - t_prev
-            acc += coeffs[j] * float(z @ t_cur)
+            acc += coeffs[j] * _coldot(Z, t_cur)
         return acc
 
     mean, stderr = _quadform_samples(qform, n, cfg)
@@ -356,16 +378,16 @@ def _cheb_quadform(A: SymmetricMatrix, coeffs: np.ndarray, n: int,
     mat = np.asarray(A.entries)
     d = len(coeffs) - 1
 
-    def qform(z):
-        t_prev = z
-        acc = coeffs[0] * float(z @ t_prev)
+    def qform(Z):
+        t_prev = Z
+        acc = coeffs[0] * _coldot(Z, t_prev)
         if d == 0:
             return acc
-        t_cur = mat @ z
-        acc += coeffs[1] * float(z @ t_cur)
+        t_cur = mat @ Z
+        acc += coeffs[1] * _coldot(Z, t_cur)
         for j in range(2, d + 1):
             t_prev, t_cur = t_cur, 2.0 * (mat @ t_cur) - t_prev
-            acc += coeffs[j] * float(z @ t_cur)
+            acc += coeffs[j] * _coldot(Z, t_cur)
         return acc
 
     return _quadform_samples(qform, n, cfg)

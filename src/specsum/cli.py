@@ -31,6 +31,7 @@ from .matrix_core import (
     load_matrix_market,
     save_matrix_market,
 )
+from .polyapprox import CertificationError
 from .reporting import canonical_json, csv_header, csv_row, report_json
 from .spectral_sums import ALGORITHMS, AlgoConfig, run_algorithm
 from .verify import SUITES, run_suite
@@ -134,7 +135,7 @@ def estimate(matrix_path, algorithm, eps, delta, mode, seed, p,
                          algorithm=algorithm, p=p,
                          use_monomial_approx=use_monomial_approx)
         rep = run_algorithm(A, cfg)
-    except ValueError as exc:
+    except (ValueError, CertificationError) as exc:
         raise click.UsageError(str(exc))
     if A.n > exact_cap:
         rep.exact = None
@@ -203,7 +204,7 @@ def sweep(n, kappa, profile, norm, matrix_seed, algorithm, axis, values,
     try:
         with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
             reports = list(pool.map(run_cell, cells))
-    except ValueError as exc:
+    except (ValueError, CertificationError) as exc:
         raise click.UsageError(str(exc))
 
     lines = [csv_header([f"sweep_{axis}", "n", "kappa"])]

@@ -43,7 +43,7 @@ class SymmetricMatrix:
 
     Attributes:
         n: Dimension.
-        entries: (n, n) float array, exactly symmetric, read-only.
+        entries: (n, n) finite float array, exactly symmetric, read-only.
         spd_flag: Whether positive-definiteness is asserted.
     """
 
@@ -58,6 +58,12 @@ class SymmetricMatrix:
             raise ValueError("entries must be a square matrix")
         if a.shape[0] != self.n:
             raise ValueError("dimension mismatch between n and entries")
+        finite = np.isfinite(a)
+        if not finite.all():
+            bad = np.argwhere(~finite)
+            named = ", ".join(f"[{i}, {j}] = {a[i, j]}" for i, j in bad[:4])
+            more = f" and {len(bad) - 4} more" if len(bad) > 4 else ""
+            raise ValueError(f"non-finite matrix entries: {named}{more}")
         a = 0.5 * (a + a.T)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -126,7 +132,8 @@ def load_matrix_market(path) -> SymmetricMatrix:
         SymmetricMatrix with the file contents.
 
     Raises:
-        ValueError: On non-square input or asymmetry beyond tolerance.
+        ValueError: On non-square input, non-finite entries or asymmetry
+            beyond tolerance.
     """
     m = scipy.io.mmread(path)
     if scipy.sparse.issparse(m):
@@ -135,7 +142,9 @@ def load_matrix_market(path) -> SymmetricMatrix:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix market file is not square")
     gap = np.max(np.abs(m - m.T)) if m.size else 0.0
-    if gap > SYMMETRY_TOL:
+    # A non-finite gap means non-finite entries, which SymmetricMatrix
+    # rejects by name.
+    if np.isfinite(gap) and gap > SYMMETRY_TOL:
         raise ValueError(
             f"asymmetric beyond tolerance: max |a_ij - a_ji| = {gap:.3e} > {SYMMETRY_TOL:.0e}"
         )

@@ -392,13 +392,14 @@ CRITERIA = {
     8: criterion_trivial_identities,
     9: criterion_cross_algorithm,
     10: criterion_determinism,
+    11: criterion_baseline_agreement,
 }
 
 SUITES = {
     "lemmas": [1, 2, 7],
-    "algorithms": [3, 4, 8, 9, 10],
+    "algorithms": [3, 4, 8, 9, 10, 11],
     "scaling": [5, 6],
-    "all": list(range(1, 11)),
+    "all": list(range(1, 12)),
 }
 
 

@@ -6,7 +6,8 @@ failure).  The criteria exercise the full stack: certified polynomial
 constructions, truncation bounds, estimator soundness in exact and
 stochastic modes, amplitude-estimation statistics, query-cost scaling
 laws, variance lemmas, closed-form identities, cross-algorithm
-agreement, and byte-level determinism of the CLI.
+agreement, byte-level determinism of the CLI, and agreement of the
+classical baselines with the quantum-model estimates.
 """
 
 import pytest

@@ -7,6 +7,7 @@ import pytest
 
 from specsum.baselines import (
     ProbeConfig,
+    _probe,
     classical_entropy,
     classical_logdet_chebyshev,
     classical_logdet_taylor,
@@ -16,6 +17,12 @@ from specsum.baselines import (
     probe_count,
 )
 from specsum.matrix_core import SymmetricMatrix, exact_spectral_sum, generate_spd
+from specsum.polyapprox import (
+    approx_inverse,
+    approx_monomial,
+    chebyshev_logdet_setup,
+    entropy_poly,
+)
 
 
 def _matrix(n=32, kappa=10.0, seed=1):
@@ -148,3 +155,113 @@ class TestClassicalOthers:
         rep = classical_schatten_p(A, 2, 0.05, ProbeConfig(num_probes=1024, seed=2))
         fro = float(np.linalg.norm(np.asarray(A.entries), "fro"))
         assert rep.estimate.value == pytest.approx(fro, rel=0.05)
+
+
+# Per-probe reference: one plain matvec loop per probe, as the estimators
+# ran before probes were blocked.  Each returns the samples z^T P z and the
+# number of matvecs applied across all probes.
+
+def _ref_probes(n, cfg):
+    return [_probe(n, cfg.probe_kind, cfg.seed, i) for i in range(cfg.num_probes)]
+
+
+def _ref_taylor(mat, m, probes):
+    vals, matvecs = [], 0
+    for z in probes:
+        v, acc = z.copy(), 0.0
+        for k in range(1, m + 1):
+            v = v - mat @ v
+            matvecs += 1
+            acc += float(z @ v) / k
+        vals.append(acc)
+    return np.array(vals), matvecs
+
+
+def _ref_chebyshev(mat, coeffs, probes):
+    vals, matvecs = [], 0
+    for z in probes:
+        acc = coeffs[0] * float(z @ z)
+        if len(coeffs) > 1:
+            t_prev, t_cur = z, mat @ z
+            matvecs += 1
+            acc += coeffs[1] * float(z @ t_cur)
+            for c in coeffs[2:]:
+                t_prev, t_cur = t_cur, 2.0 * (mat @ t_cur) - t_prev
+                matvecs += 1
+                acc += c * float(z @ t_cur)
+        vals.append(acc)
+    return np.array(vals), matvecs
+
+
+def _reference(name, A, eps, cfg, rep):
+    """Per-probe (value, stderr, matvecs) rebuilt from a report's parameters."""
+    mat = np.asarray(A.entries)
+    probes = _ref_probes(A.n, cfg)
+    prm = rep.parameters
+    if name == "taylor":
+        vals, mv = _ref_taylor(mat, prm["m"], probes)
+        post = lambda mean: -mean
+    elif name == "chebyshev":
+        delta_c = prm["delta_margin"]
+        per_dim = eps / 2.0 * math.log(1.0 / A.stats.spectral_norm)
+        coeffs, _, _ = chebyshev_logdet_setup(delta_c, per_dim)
+        mapped = (2.0 * mat - np.eye(A.n)) / (1.0 - 2.0 * delta_c)
+        vals, mv = _ref_chebyshev(mapped, coeffs, probes)
+        post = lambda mean: mean
+    elif name == "entropy":
+        beta = float(A.spectral.eigenvalues[-1])
+        vals, mv = _ref_chebyshev(mat, entropy_poly(beta, prm["eps1"]).coefficients, probes)
+        post = lambda mean: 2.0 * prm["rescale_log"] * mean
+    elif name == "trace_inverse":
+        vals, mv = _ref_chebyshev(
+            mat, approx_inverse(prm["delta"], prm["eps1"]).coefficients, probes)
+        post = lambda mean: 8.0 * mean / (3.0 * prm["delta"])
+    else:
+        vals, mv = _ref_chebyshev(
+            mat, approx_monomial(prm["p"], prm["degree"]).coefficients, probes)
+        post = lambda mean: max(mean, 0.0) ** (1.0 / prm["p"])
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+    return post(float(np.mean(vals))), stderr, mv
+
+
+_ESTIMATORS = {
+    "taylor": classical_logdet_taylor,
+    "chebyshev": classical_logdet_chebyshev,
+    "entropy": classical_entropy,
+    "trace_inverse": classical_trace_inverse,
+    "schatten": lambda A, eps, cfg: classical_schatten_p(A, 3, eps, cfg),
+}
+
+
+class TestBlockedProbes:
+    """Blocked recurrences match the per-probe reference loop."""
+
+    @pytest.mark.parametrize("num_probes", [7, 600])
+    @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+    @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+    def test_matches_per_probe_loop(self, name, kind, num_probes):
+        A = _density(n=8, kappa=2.0) if name == "entropy" else _matrix(n=8, kappa=4.0)
+        eps = 0.3
+        cfg = ProbeConfig(num_probes=num_probes, probe_kind=kind, seed=3)
+        rep = _ESTIMATORS[name](A, eps, cfg)
+        value, stderr, matvecs = _reference(name, A, eps, cfg, rep)
+        assert rep.estimate.value == pytest.approx(value, rel=1e-10, abs=0.0)
+        assert rep.parameters["stderr"] == pytest.approx(stderr, rel=1e-10, abs=0.0)
+        assert rep.parameters["matvecs"] == matvecs
+        assert rep.ledger.total_queries == matvecs * A.n**2
+
+    def test_hutchinson_vector_matvec_across_blocks(self):
+        n = 5
+        d = np.arange(1.0, n + 1)
+        seen = set()
+
+        def matvec(v):
+            seen.add(v.shape)
+            return d * v
+
+        cfg = ProbeConfig(num_probes=600, seed=4)
+        est = hutchinson_trace(matvec, n, cfg)
+        vals = [float(z @ (d * z)) for z in _ref_probes(n, cfg)]
+        assert seen == {(n,)}
+        assert est.value == float(np.mean(vals))
+        assert est.abs_error_bound == 3.0 * float(np.std(vals, ddof=1) / math.sqrt(600))

@@ -6,7 +6,9 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from specsum import spectral_sums
 from specsum.cli import main
+from specsum.polyapprox import CertificationError
 from specsum.reporting import CSV_COLUMNS
 
 
@@ -82,6 +84,16 @@ class TestEstimate:
                                    "--algorithm", "vn_entropy"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("fmt", ["symmetric", "general"])
+    def test_non_finite_entries_exit_two(self, tmp_path, runner, fmt):
+        path = tmp_path / "nan.mtx"
+        lower = "1.0\nnan\n" + ("nan\n" if fmt == "general" else "") + "1.0\n"
+        path.write_text(f"%%MatrixMarket matrix array real {fmt}\n2 2\n{lower}")
+        res = runner.invoke(main, ["estimate", "--matrix", str(path),
+                                   "--algorithm", "logdet_svt"])
+        assert res.exit_code == 2
+        assert "non-finite matrix entries: [0, 1] = nan, [1, 0] = nan" in res.output
+
     def test_invalid_eps_exits_two(self, matrix_prefix, runner):
         res = runner.invoke(main, ["estimate", "--matrix", matrix_prefix + ".mtx",
                                    "--algorithm", "logdet_svt", "--eps", "2.0"])
@@ -141,6 +153,22 @@ class TestSweep:
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert len(out.read_text().strip().split("\n")) == 1 + 6
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_certification_error_exits_two(matrix_prefix, runner, monkeypatch, command):
+    def uncertifiable(A, cfg):
+        raise CertificationError("degree cap 1000 reached before eps")
+
+    monkeypatch.setitem(spectral_sums.ALGORITHMS, "logdet_svt", uncertifiable)
+    if command == "estimate":
+        args = ["estimate", "--matrix", matrix_prefix + ".mtx"]
+    else:
+        args = ["sweep", "--n", "8", "--axis", "eps", "--values", "0.1,0.05",
+                "--out", matrix_prefix + ".csv"]
+    res = runner.invoke(main, args + ["--algorithm", "logdet_svt"])
+    assert res.exit_code == 2
+    assert "degree cap 1000 reached before eps" in res.output
 
 
 class TestVerify:

@@ -32,6 +32,13 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError, match="dimension"):
             SymmetricMatrix(3, np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(3)
+        a[2, 1] = bad
+        with pytest.raises(ValueError, match=r"non-finite matrix entries: \[2, 1\]"):
+            SymmetricMatrix(3, a)
+
     def test_entries_read_only(self):
         m = SymmetricMatrix(2, np.eye(2))
         with pytest.raises(ValueError):
@@ -109,6 +116,17 @@ class TestMatrixMarketIO:
         with open(path, "w") as fh:
             fh.write("%%MatrixMarket matrix array real general\n2 2\n1.0\n0.5\n0.9\n1.0\n")
         with pytest.raises(ValueError, match="asymmetric"):
+            load_matrix_market(path)
+
+    @pytest.mark.parametrize("body", [
+        "%%MatrixMarket matrix array real symmetric\n2 2\n1.0\nnan\n1.0\n",
+        "%%MatrixMarket matrix array real general\n2 2\n1.0\nnan\nnan\n1.0\n",
+        "%%MatrixMarket matrix array real general\n2 2\n1.0\ninf\n0.5\n1.0\n",
+    ])
+    def test_rejects_non_finite(self, tmp_path, body):
+        path = tmp_path / "bad.mtx"
+        path.write_text(body)
+        with pytest.raises(ValueError, match="non-finite matrix entries"):
             load_matrix_market(path)
 
 
