@@ -16,6 +16,7 @@ without affecting output bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import sys
@@ -54,7 +55,9 @@ def _thread_count() -> int:
 def _load_spd(path) -> SymmetricMatrix:
     A = load_matrix_market(path)
     spd = bool(A.spectral.eigenvalues[-1] > 0)
-    return SymmetricMatrix(A.n, np.asarray(A.entries), spd_flag=spd)
+    # The cache (spectral data and stats) does not depend on spd_flag, so
+    # the flagged matrix keeps it and the eigendecomposition runs once.
+    return dataclasses.replace(A, spd_flag=spd)
 
 
 def _write(text: str, out: str) -> None:
@@ -189,8 +192,9 @@ def sweep(n, kappa, profile, norm, matrix_seed, algorithm, axis, values,
             matrices[key] = generate_spd(nn, kk, _PROFILES[profile], norm, matrix_seed)
         return matrices[key]
 
-    for v, _ in cells:  # build matrices serially so workers only read
-        matrix_for(v)
+    for v, _ in cells:  # build matrices and fill their caches serially so workers only read
+        A = matrix_for(v)
+        A.spectral, A.stats
 
     def run_cell(cell):
         value, seed = cell

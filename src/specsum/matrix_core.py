@@ -107,16 +107,16 @@ class MatrixStats:
         spectral_norm: Largest singular value.
         frobenius_norm: Frobenius norm.
         kappa: Ratio of largest to smallest nonzero singular value.
-        mu: Encoding normalization, min over the Frobenius norm and the
-            sqrt(s_{2p} * s_{2(1-p)}) candidates on a p-grid.
-        s_p_values: Map from sampled exponent p to s_p(A).
+        mu: Encoding normalization: the smaller of the Frobenius norm
+            and sqrt(s_{2p}(A) * s_{2(1-p)}(A^T)) at the p-grid point
+            nearest 1/2, which minimizes the candidate over the grid
+            (see compute_mu).
     """
 
     spectral_norm: float
     frobenius_norm: float
     kappa: float
     mu: float
-    s_p_values: dict
 
 
 def load_matrix_market(path) -> SymmetricMatrix:
@@ -246,7 +246,12 @@ def compute_mu(A: SymmetricMatrix, grid_points: int = 101) -> float:
     """Encoding normalization mu(A).
 
     Minimum of the Frobenius norm and sqrt(s_{2p}(A) * s_{2(1-p)}(A^T))
-    over a uniform p-grid in [0, 1].
+    over a uniform p-grid in [0, 1].  Each row's sum_j |a_ij|^q is
+    log-convex in q, so log s_{2p}(A) + log s_{2-2p}(A^T) is convex in
+    p, and for symmetric A it is symmetric about p = 1/2.  The grid
+    minimum therefore lies at the middle grid point (the two middle
+    points when grid_points is even), and only those are evaluated; at
+    p = 1/2 the candidate is s_1(A), the largest absolute row sum.
 
     Args:
         A: Input matrix.
@@ -259,7 +264,8 @@ def compute_mu(A: SymmetricMatrix, grid_points: int = 101) -> float:
         raise ValueError("grid_points must be >= 2")
     absA = np.abs(np.asarray(A.entries))
     best = float(np.linalg.norm(absA))
-    for p in np.linspace(0.0, 1.0, grid_points):
+    grid = np.linspace(0.0, 1.0, grid_points)
+    for p in grid[(grid_points - 1) // 2:grid_points // 2 + 1]:
         cand = math.sqrt(_row_power_sum_max(absA, 2 * p) * _row_power_sum_max(absA.T, 2 * (1 - p)))
         best = min(best, cand)
     return best
@@ -275,16 +281,13 @@ def condition_number(A: SymmetricMatrix) -> float:
 
 
 def compute_stats(A: SymmetricMatrix, grid_points: int = 101) -> MatrixStats:
-    """Assemble norms, condition number, mu, and sample s_p values."""
+    """Assemble norms, condition number, and mu."""
     sv = A.spectral.singular_values
-    absA = np.abs(np.asarray(A.entries))
-    s_p = {p: _row_power_sum_max(absA, p) for p in (0.5, 1.0, 1.5, 2.0)}
     return MatrixStats(
         spectral_norm=float(sv[0]),
-        frobenius_norm=float(np.linalg.norm(absA)),
+        frobenius_norm=float(np.linalg.norm(np.asarray(A.entries))),
         kappa=condition_number(A),
         mu=compute_mu(A, grid_points),
-        s_p_values=s_p,
     )
 
 

@@ -153,7 +153,8 @@ def trace_estimate_abs(be: BlockEncoding, eps: float, seed: int = 0,
                        delta: float | None = None) -> Estimate:
     """Hadamard-test trace estimation with absolute guarantee n*eps.
 
-    The test amplitude is a = (1 + Tr[payload]/n)/2; with
+    The test amplitude is a = (1 + Tr[payload]/n)/2, the trace read as
+    the sum of the effective payload's eigenvalues; with
     t = ceil(8 alpha pi / eps) rounds the returned
     n * alpha * (2 a_hat - 1) deviates from the encoded trace by at
     most n*eps (plus the encoding defect, which the caller budgets).
@@ -172,7 +173,7 @@ def trace_estimate_abs(be: BlockEncoding, eps: float, seed: int = 0,
         raise ValueError("eps must be positive")
     n = be.n
     t = math.ceil(8.0 * be.alpha * math.pi / eps)
-    a = (1.0 + float(np.trace(be.payload_effective)) / n) / 2.0
+    a = (1.0 + be.effective_trace() / n) / 2.0
     a = min(1.0, max(0.0, a))
     reps = 1 if delta is None else median_reps(delta)
     vals = []
@@ -254,10 +255,8 @@ def trace_product_estimate(be: BlockEncoding, eps: float, seed: int = 0,
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = be.n
-    b_eff = be.alpha * be.payload_effective
-    true_val = float(np.sum(b_eff * b_eff))
-    exact_block = be.alpha * be.payload
-    exact_val = float(np.sum(exact_block * exact_block))
+    true_val = be.target_frobenius_sq(effective=True)
+    exact_val = be.target_frobenius_sq(effective=False)
     if be.eps > eps * exact_val / (4.0 * n) + 1e-15:
         raise ValueError(
             f"encoding error {be.eps:.3e} exceeds the product-trace budget "

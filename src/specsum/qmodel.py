@@ -1,10 +1,20 @@
-"""Emulated block-encodings and their algebra.
+"""Emulated block-encodings and their algebra, in the source's eigenbasis.
 
-A block-encoding is represented by its exact encoded block (payload),
-the normalization alpha, an ancilla count, an error budget eps, and an
-abstract per-use query cost.  Perturbations are injected explicitly
-(exact, adversarial, or stochastic mode) and compositions propagate
-parameters exactly as the corresponding lemmas prescribe, so the cost
+Every payload the pipelines build is a polynomial or power of the
+encoded symmetric matrix A (A/mu, P(A/mu), (A^2/2)^q, (A^2/2)^{r/4}),
+so it commutes with A.  A block-encoding therefore stores the shared,
+read-only eigenvector matrix of its source (``A.spectral.eigenvectors``,
+never copied) plus two length-n vectors: the payload's eigenvalues and
+the perturbation's eigenvalues.  Beyond the one cached ``eigh`` of A,
+every combinator works on these vectors in O(n) or O(n d) for a
+degree-d polynomial; the dense matrices are views built on demand.
+
+Perturbations are diagonal in the same basis, with spectral norm
+max|e| <= eps: exact mode draws none, adversarial mode puts the whole
+budget on the top eigenvector of the target (the matrix eps v v^T), and
+stochastic mode scales a random direction (n normals) by a uniform
+fraction of the budget.  Compositions propagate alpha, ancillas, eps and
+use cost exactly as the corresponding lemmas prescribe, so the cost
 ledger of any composite equals the lemma cost expression evaluated on
 its inputs.
 
@@ -20,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .matrix_core import SymmetricMatrix, SpectralData, compute_mu
+from .matrix_core import SYMMETRY_TOL, SymmetricMatrix, SpectralData
 from .polyapprox import ChebyshevSeries
 from .rng import stream
 
@@ -78,40 +88,49 @@ class CostLedger:
         }
 
 
-def _symmetric_direction(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random symmetric matrix of unit spectral norm."""
-    g = rng.standard_normal((n, n))
-    g = 0.5 * (g + g.T)
-    norm = np.linalg.norm(g, 2)
-    return g / norm if norm > 0 else g
-
-
-def _draw_perturbation(target: np.ndarray, eps: float, mode: str, seed: int) -> np.ndarray:
-    """Perturbation E with ||E|| <= eps for the requested mode.
+def _draw_perturbation(values: np.ndarray, eps: float, mode: str, seed: int) -> np.ndarray:
+    """Eigenvalues e of a perturbation with ||E|| = max|e| <= eps.
 
     Adversarial mode saturates the budget along the top eigenvector of
-    the target; stochastic mode scales a random symmetric direction by
-    a uniform fraction of the budget.
+    the target (largest |value|); stochastic mode scales a random
+    direction of unit max-norm by a uniform fraction of the budget.
     """
-    n = target.shape[0]
     if mode == "exact" or eps == 0.0:
-        return np.zeros_like(target)
+        return np.zeros_like(values)
     if mode == "adversarial":
-        w, v = np.linalg.eigh(target)
-        top = v[:, np.argmax(np.abs(w))]
-        return eps * np.outer(top, top)
+        e = np.zeros_like(values)
+        e[np.argmax(np.abs(values))] = eps
+        return e
     if mode == "stochastic":
         rng = stream(seed, 0xE)
-        return eps * rng.uniform(0.0, 1.0) * _symmetric_direction(n, rng)
+        scale = eps * rng.uniform(0.0, 1.0)
+        g = rng.standard_normal(values.shape[0])
+        return scale * g / np.max(np.abs(g))
     raise ValueError(f"unknown perturbation mode: {mode!r}")
 
 
-@dataclass(frozen=True)
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class BlockEncoding:
-    """An emulated (alpha, q, eps)-block-encoding.
+    """An emulated (alpha, q, eps)-block-encoding, stored in an eigenbasis.
+
+    Built either from a shared basis and eigenvalue vectors (what every
+    combinator does) or from a dense symmetric ``payload``, which is
+    eigendecomposed once, here.
 
     Attributes:
-        payload: Exact encoded block (the target divided by alpha).
+        basis: Orthogonal (n, n) eigenvector matrix shared, read-only,
+            with the source matrix and every encoding derived from it.
+        payload_values: Eigenvalues of the exact encoded block (the
+            target divided by alpha), matching the basis columns.
+        perturbation_values: Eigenvalues of the drawn payload-level
+            perturbation (fixed at construction; includes noise
+            inherited from inputs), in the same basis.
         alpha: Normalization, at least the target's spectral norm.
         ancillas: Ancilla qubit count q.
         eps: Encoding error budget; the effective payload deviates from
@@ -119,49 +138,100 @@ class BlockEncoding:
         use_cost: Query units charged per application.
         perturbation_mode: "exact", "adversarial", or "stochastic".
         seed: Perturbation stream seed.
-        perturbation: The drawn payload-level perturbation (fixed at
-            construction; includes noise inherited from inputs).
     """
 
-    payload: np.ndarray
+    basis: np.ndarray = field(repr=False)
+    payload_values: np.ndarray
+    perturbation_values: np.ndarray
     alpha: float
     ancillas: int
     eps: float
     use_cost: float
     perturbation_mode: str
     seed: int
-    perturbation: np.ndarray = None
 
-    def __post_init__(self):
-        p = np.array(self.payload, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "payload", p)
-        if self.perturbation is None:
-            object.__setattr__(self, "perturbation", np.zeros_like(p))
-        else:
-            e = np.array(self.perturbation, dtype=float)
-            e.setflags(write=False)
-            object.__setattr__(self, "perturbation", e)
-        if self.use_cost <= 0:
+    def __init__(self, *, alpha: float, ancillas: int, eps: float, use_cost: float,
+                 perturbation_mode: str, seed: int, basis: np.ndarray | None = None,
+                 payload_values: np.ndarray | None = None,
+                 perturbation_values: np.ndarray | None = None,
+                 payload: np.ndarray | None = None):
+        either = "give either a dense payload or basis and payload_values"
+        if payload is not None:
+            if basis is not None or payload_values is not None:
+                raise ValueError(either)
+            p = np.asarray(payload, dtype=float)
+            if p.ndim != 2 or p.shape[0] != p.shape[1] or \
+                    np.max(np.abs(p - p.T)) > SYMMETRY_TOL:
+                raise ValueError("a dense payload must be a symmetric square matrix")
+            spectral = SymmetricMatrix(p.shape[0], p).spectral
+            basis, payload_values = spectral.eigenvectors, spectral.eigenvalues
+        elif basis is None or payload_values is None:
+            raise ValueError(either)
+        values = _readonly(payload_values)
+        n = values.shape[0]
+        noise = np.zeros(n) if perturbation_values is None else perturbation_values
+        noise = _readonly(noise)
+        if basis.shape != (n, n) or noise.shape != (n,):
+            raise ValueError("basis, payload_values and perturbation_values disagree in size")
+        if use_cost <= 0:
             raise ValueError("use_cost must be positive")
+        for name, value in (("basis", basis), ("payload_values", values),
+                            ("perturbation_values", noise), ("alpha", alpha),
+                            ("ancillas", ancillas), ("eps", eps), ("use_cost", use_cost),
+                            ("perturbation_mode", perturbation_mode), ("seed", seed)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return self.payload.shape[0]
+        return self.payload_values.shape[0]
 
     @property
-    def target(self) -> np.ndarray:
-        """The exactly encoded matrix alpha * payload."""
-        return self.alpha * self.payload
+    def effective_values(self) -> np.ndarray:
+        """Eigenvalues of the payload plus the drawn perturbation."""
+        return self.payload_values + self.perturbation_values
+
+    def _dense(self, values: np.ndarray) -> np.ndarray:
+        return (self.basis * values) @ self.basis.T
+
+    @property
+    def payload(self) -> np.ndarray:
+        """Dense exact payload, built on demand (O(n^3))."""
+        return self._dense(self.payload_values)
+
+    @property
+    def perturbation(self) -> np.ndarray:
+        """Dense drawn perturbation, built on demand (O(n^3))."""
+        return self._dense(self.perturbation_values)
 
     @property
     def payload_effective(self) -> np.ndarray:
-        """Payload plus the drawn perturbation."""
-        return self.payload + self.perturbation
+        """Dense payload plus perturbation, built on demand (O(n^3))."""
+        return self._dense(self.effective_values)
+
+    @property
+    def target(self) -> np.ndarray:
+        """Dense exactly encoded matrix alpha * payload, built on demand."""
+        return self._dense(self.alpha * self.payload_values)
+
+    def effective_trace(self) -> float:
+        """Tr of the effective payload: the sum of its eigenvalues."""
+        return float(np.sum(self.effective_values))
+
+    def target_frobenius_sq(self, effective: bool = True) -> float:
+        """||alpha * payload||_F^2 (perturbed or exact): a sum of squared eigenvalues."""
+        b = self.alpha * (self.effective_values if effective else self.payload_values)
+        return float(np.sum(b * b))
 
     def encoding_defect(self) -> float:
-        """Measured ||alpha * payload_effective - target||."""
-        return float(self.alpha * np.linalg.norm(self.perturbation, 2))
+        """Measured ||alpha * payload_effective - target|| = alpha * max|e|."""
+        return float(self.alpha * np.max(np.abs(self.perturbation_values), initial=0.0))
+
+
+def _shared_basis(be1: BlockEncoding, be2: BlockEncoding) -> np.ndarray:
+    """The basis two encodings share; products of non-commuting payloads are rejected."""
+    if be1.basis is not be2.basis:
+        raise ValueError("product requires encodings that share one eigenbasis")
+    return be1.basis
 
 
 def qram_block_encoding(A: SymmetricMatrix, mode: str = "exact", seed: int = 0) -> BlockEncoding:
@@ -173,7 +243,8 @@ def qram_block_encoding(A: SymmetricMatrix, mode: str = "exact", seed: int = 0) 
         seed: Perturbation stream seed.
 
     Returns:
-        Exact encoding with alpha = mu(A) and use_cost = polylog(n).
+        Exact encoding with alpha = mu(A) and use_cost = polylog(n), in
+        the basis of ``A.spectral``.
 
     Raises:
         ValueError: If ||A|| > 1.
@@ -182,7 +253,8 @@ def qram_block_encoding(A: SymmetricMatrix, mode: str = "exact", seed: int = 0) 
         raise ValueError("qram encoding requires ||A|| <= 1")
     mu = A.stats.mu
     return BlockEncoding(
-        payload=np.asarray(A.entries) / mu,
+        basis=A.spectral.eigenvectors,
+        payload_values=A.spectral.eigenvalues / mu,
         alpha=mu,
         ancillas=max(1, math.ceil(math.log2(A.n))),
         eps=0.0,
@@ -211,17 +283,17 @@ def unit_block_encoding(A: SymmetricMatrix, eps: float, mode: str = "exact",
         raise ValueError("unit encoding requires ||A|| <= 1")
     if not A.spd_flag:
         raise ValueError("unit encoding is restricted to SPD input")
-    payload = np.asarray(A.entries, dtype=float)
-    pert = _draw_perturbation(payload, eps, mode, seed)
+    values = A.spectral.eigenvalues
     return BlockEncoding(
-        payload=payload,
+        basis=A.spectral.eigenvectors,
+        payload_values=values,
         alpha=1.0,
         ancillas=1 + math.ceil(math.log2(A.n / eps)),
         eps=eps,
         use_cost=(A.stats.mu / eps) * polylog(A.n),
         perturbation_mode=mode,
         seed=seed,
-        perturbation=pert,
+        perturbation_values=_draw_perturbation(values, eps, mode, seed),
     )
 
 
@@ -242,7 +314,8 @@ def density_block_encoding(rho: SymmetricMatrix) -> BlockEncoding:
         raise ValueError(f"density encoding requires unit trace, got {tr!r}")
     logn = max(1, math.ceil(math.log2(rho.n)))
     return BlockEncoding(
-        payload=np.asarray(rho.entries),
+        basis=rho.spectral.eigenvectors,
+        payload_values=rho.spectral.eigenvalues,
         alpha=1.0,
         ancillas=2 * logn,
         eps=0.0,
@@ -252,18 +325,13 @@ def density_block_encoding(rho: SymmetricMatrix) -> BlockEncoding:
     )
 
 
-def _matfun(sym: np.ndarray, fn) -> np.ndarray:
-    """Apply a scalar function to a symmetric matrix via eigh."""
-    w, v = np.linalg.eigh(sym)
-    return (v * fn(w)) @ v.T
-
-
 def apply_svt(be: BlockEncoding, p: ChebyshevSeries, nu: float = 1e-12) -> BlockEncoding:
     """Singular-value transformation by a 1/2-bounded polynomial.
 
     Produces a (1, q+2, 4 d sqrt(eps/alpha) + nu)-encoding of
     P(A/alpha) using d applications of the input encoding plus one
-    controlled application.
+    controlled application.  The series is evaluated on the payload's
+    eigenvalues, exact and perturbed.
 
     Args:
         be: Input encoding of a symmetric target.
@@ -281,21 +349,22 @@ def apply_svt(be: BlockEncoding, p: ChebyshevSeries, nu: float = 1e-12) -> Block
     if p.global_bound > 0.5 + 1e-12:
         raise ValueError("SVT polynomial must satisfy |P| <= 1/2 on [-1, 1]")
     d = p.degree
-    exact = _matfun(np.asarray(be.payload), lambda w: _cheb.chebval(np.clip(w, -1, 1), p.coefficients))
-    effective = _matfun(np.asarray(be.payload_effective),
-                        lambda w: _cheb.chebval(np.clip(w, -1, 1), p.coefficients))
+    # One Clenshaw pass over both rows: its cost is per degree, not per point.
+    exact, effective = _cheb.chebval(
+        np.clip(np.stack([be.payload_values, be.effective_values]), -1, 1), p.coefficients)
     new_seed = (be.seed * 1000003 + 1) & 0x7FFFFFFF
     extra = _draw_perturbation(exact, nu, be.perturbation_mode, new_seed)
     eps_out = 4 * d * math.sqrt(max(be.eps, 0.0) / be.alpha) + nu
     return BlockEncoding(
-        payload=exact,
+        basis=be.basis,
+        payload_values=exact,
         alpha=1.0,
         ancillas=be.ancillas + 2,
         eps=eps_out,
         use_cost=(d + 1) * be.use_cost,
         perturbation_mode=be.perturbation_mode,
         seed=new_seed,
-        perturbation=(effective - exact) + extra,
+        perturbation_values=(effective - exact) + extra,
     )
 
 
@@ -304,43 +373,49 @@ def product_plain(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
 
     Used only for composition tests; the mainline pipelines use the
     preamplified product.
+
+    Raises:
+        ValueError: If the encodings do not share one eigenbasis.
     """
-    payload = be1.payload @ be2.payload
-    eff = be1.payload_effective @ be2.payload_effective
+    basis = _shared_basis(be1, be2)
+    payload = be1.payload_values * be2.payload_values
+    eff = be1.effective_values * be2.effective_values
     return BlockEncoding(
-        payload=payload,
+        basis=basis,
+        payload_values=payload,
         alpha=be1.alpha * be2.alpha,
         ancillas=be1.ancillas + be2.ancillas,
         eps=be1.alpha * be2.eps + be2.alpha * be1.eps,
         use_cost=be1.use_cost + be2.use_cost,
         perturbation_mode=be1.perturbation_mode,
         seed=(be1.seed * 1000003 + be2.seed) & 0x7FFFFFFF,
-        perturbation=eff - payload,
+        perturbation_values=eff - payload,
     )
 
 
 def product_preamplified(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
     """Preamplified product: a (1, a1+a2+2, eps1+eps2)-encoding of A1*A2/2.
 
-    Requires both encoded targets to be contractions.  The use cost is
-    alpha1*(q1+T1) + alpha2*(q2+T2).
+    Requires both encoded targets to be contractions (max |alpha *
+    payload eigenvalue| <= 1) and to share one eigenbasis.  The use
+    cost is alpha1*(q1+T1) + alpha2*(q2+T2).
     """
     for be in (be1, be2):
-        if np.linalg.norm(be.target, 2) > 1 + 1e-10:
+        if np.max(np.abs(be.alpha * be.payload_values)) > 1 + 1e-10:
             raise ValueError("preamplified product requires ||target|| <= 1")
-    a1 = be1.alpha * be1.payload_effective
-    a2 = be2.alpha * be2.payload_effective
-    payload = (be1.target @ be2.target) / 2.0
-    eff = (a1 @ a2) / 2.0
+    basis = _shared_basis(be1, be2)
+    payload = (be1.alpha * be1.payload_values) * (be2.alpha * be2.payload_values) / 2.0
+    eff = (be1.alpha * be1.effective_values) * (be2.alpha * be2.effective_values) / 2.0
     return BlockEncoding(
-        payload=payload,
+        basis=basis,
+        payload_values=payload,
         alpha=1.0,
         ancillas=be1.ancillas + be2.ancillas + 2,
         eps=be1.eps + be2.eps,
         use_cost=be1.alpha * (be1.ancillas + be1.use_cost) + be2.alpha * (be2.ancillas + be2.use_cost),
         perturbation_mode=be1.perturbation_mode,
         seed=(be1.seed * 1000003 + be2.seed + 1) & 0x7FFFFFFF,
-        perturbation=eff - payload,
+        perturbation_values=eff - payload,
     )
 
 
@@ -370,21 +445,22 @@ def matrix_power(be: BlockEncoding, c: float, kappa: float, eps: float) -> Block
             f"input encoding error {be.eps:.3e} exceeds matrix power budget {budget:.3e}; "
             "tighten the input encoding"
         )
-    w = np.linalg.eigvalsh(be.target)
+    w = be.alpha * be.payload_values
     if np.min(w) < 1.0 / kappa - 1e-9 or np.max(w) > 1.0 + 1e-9:
         raise ValueError("matrix power requires I/kappa <= H <= I")
     power = lambda vals: np.clip(vals, 1e-300, None) ** c / 2.0
-    payload = _matfun(be.target, power)
-    eff = _matfun(be.alpha * be.payload_effective, power)
+    payload = power(w)
+    eff = power(be.alpha * be.effective_values)
     return BlockEncoding(
-        payload=payload,
+        basis=be.basis,
+        payload_values=payload,
         alpha=1.0,
         ancillas=be.ancillas + max(1, math.ceil(math.log2(max(2.0, math.log2(1.0 / eps))))) + 2,
         eps=eps,
         use_cost=be.alpha * kappa * (be.ancillas + be.use_cost) * math.log(kappa / eps) ** 2,
         perturbation_mode=be.perturbation_mode,
         seed=(be.seed * 1000003 + 7) & 0x7FFFFFFF,
-        perturbation=eff - payload,
+        perturbation_values=eff - payload,
     )
 
 

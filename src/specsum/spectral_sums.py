@@ -183,13 +183,16 @@ def logdet_svt(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     beta_formula = 1.0 / (kappa * alpha)
     beta = min(_floor_grid(lam_min / alpha), 0.5)
     big_l = math.log(2.0 / beta)
-    eps23_formula = cfg.eps * math.log(1.0 / norm) / (6.0 * math.log(2.0 * kappa * alpha))
+    # The formula assumes 2 kappa alpha > 1 (alpha >= 1 in the paper's
+    # normalization); outside that it is undefined and reported as null.
+    log_ka = math.log(2.0 * kappa * alpha)
+    eps23_formula = cfg.eps * math.log(1.0 / norm) / (6.0 * log_ka) if log_ka > 0 else None
     eps2 = cfg.eps * math.log(1.0 / norm) / (6.0 * big_l)
     eps3 = _floor_grid(eps2)
     series = approx_log(beta, eps3)
     be = qram_block_encoding(A, cfg.mode, cfg.seed)
     sv = apply_svt(be, series, _NU)
-    overlap = float(np.trace(sv.payload_effective)) / n
+    overlap = sv.effective_trace() / n
     ipe = inner_product_estimate(overlap, eps2, cfg.delta, unit_cost=sv.use_cost,
                                  seed=cfg.seed, mode=cfg.mode)
     value = 2.0 * n * big_l * ipe.value + n * math.log(alpha)

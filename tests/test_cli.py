@@ -6,7 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from specsum import spectral_sums
+from specsum import matrix_core, spectral_sums
 from specsum.cli import main
 from specsum.polyapprox import CertificationError
 from specsum.reporting import CSV_COLUMNS
@@ -169,6 +169,42 @@ def test_certification_error_exits_two(matrix_prefix, runner, monkeypatch, comma
     res = runner.invoke(main, args + ["--algorithm", "logdet_svt"])
     assert res.exit_code == 2
     assert "degree cap 1000 reached before eps" in res.output
+
+
+@pytest.fixture()
+def decompositions(monkeypatch):
+    """Every matrix handed to matrix_core.spectral_decompose, in call order."""
+    calls = []
+    decompose = matrix_core.spectral_decompose
+
+    def counted(A):
+        calls.append(A)
+        return decompose(A)
+
+    monkeypatch.setattr(matrix_core, "spectral_decompose", counted)
+    return calls
+
+
+class TestOneEigendecompositionPerMatrix:
+    @pytest.mark.parametrize("algorithm", ["logdet_svt", "trace_inverse", "schatten_p",
+                                           "logdet_sve"])
+    def test_estimate_decomposes_the_loaded_matrix_once(self, matrix_prefix, runner,
+                                                        decompositions, algorithm):
+        res = runner.invoke(main, ["estimate", "--matrix", matrix_prefix + ".mtx",
+                                   "--algorithm", algorithm, "--p", "3"])
+        assert res.exit_code == 0, res.output
+        assert len(decompositions) == 1
+
+    def test_threaded_sweep_decomposes_each_matrix_once(self, tmp_path, runner,
+                                                        decompositions, monkeypatch):
+        monkeypatch.setenv("SPECSUM_THREADS", "4")
+        res = runner.invoke(main, ["sweep", "--n", "32", "--algorithm", "logdet_svt",
+                                   "--axis", "kappa", "--values", "5,10,20",
+                                   "--seeds", "2", "--mode", "stochastic",
+                                   "--out", str(tmp_path / "s.csv")])
+        assert res.exit_code == 0, res.output
+        assert len(decompositions) == 3
+        assert len({id(A) for A in decompositions}) == 3
 
 
 class TestVerify:

@@ -1,0 +1,359 @@
+"""The eigenbasis block-encoding algebra against the dense algebra it replaces.
+
+The reference below is the dense formulation: payloads and perturbations
+as n x n matrices, polynomials applied through a fresh ``eigh`` of each
+payload, products as matrix products.  Running the unchanged estimator
+pipelines on it gives reference reports; every encoding the eigenbasis
+algebra builds along the way must match its dense counterpart.
+"""
+
+import math
+from collections import Counter
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from specsum import matrix_core, spectral_sums
+from specsum.matrix_core import SymmetricMatrix, compute_mu, generate_spd
+from specsum.qmodel import (
+    BlockEncoding,
+    polylog,
+    product_plain,
+    product_preamplified,
+    qram_block_encoding,
+    unit_block_encoding,
+)
+from specsum.spectral_sums import AlgoConfig, run_algorithm
+
+MODES = ("exact", "stochastic", "adversarial")
+
+
+# ---------------------------------------------------------------- reference
+
+
+@dataclass(frozen=True)
+class DenseEncoding:
+    """A block-encoding held as dense payload and perturbation matrices."""
+
+    payload: np.ndarray
+    alpha: float
+    ancillas: int
+    eps: float
+    use_cost: float
+    perturbation_mode: str
+    seed: int
+    perturbation: np.ndarray
+
+    @property
+    def n(self):
+        return self.payload.shape[0]
+
+    @property
+    def target(self):
+        return self.alpha * self.payload
+
+    @property
+    def payload_effective(self):
+        return self.payload + self.perturbation
+
+    def effective_trace(self):
+        return float(np.trace(self.payload_effective))
+
+    def target_frobenius_sq(self, effective=True):
+        b = self.alpha * (self.payload_effective if effective else self.payload)
+        return float(np.sum(b * b))
+
+    def encoding_defect(self):
+        return float(self.alpha * np.linalg.norm(self.perturbation, 2))
+
+
+def _matfun(sym, fn):
+    w, v = np.linalg.eigh(sym)
+    return (v * fn(w)) @ v.T
+
+
+def _dense_perturbation(target, eps, mode):
+    """Exact and adversarial draws; stochastic draws are not compared."""
+    if mode == "exact" or eps == 0.0:
+        return np.zeros_like(target)
+    if mode == "adversarial":
+        w, v = np.linalg.eigh(target)
+        top = v[:, np.argmax(np.abs(w))]
+        return eps * np.outer(top, top)
+    raise AssertionError(f"no dense reference for mode {mode!r}")
+
+
+def dense_qram(A, mode="exact", seed=0):
+    mu = A.stats.mu
+    payload = np.asarray(A.entries) / mu
+    return DenseEncoding(payload, mu, max(1, math.ceil(math.log2(A.n))), 0.0,
+                         polylog(A.n), mode, seed, np.zeros_like(payload))
+
+
+def dense_svt(be, p, nu=1e-12):
+    f = lambda w: np.polynomial.chebyshev.chebval(np.clip(w, -1, 1), p.coefficients)
+    exact = _matfun(be.payload, f)
+    effective = _matfun(be.payload_effective, f)
+    extra = _dense_perturbation(exact, nu, be.perturbation_mode)
+    return DenseEncoding(exact, 1.0, be.ancillas + 2,
+                         4 * p.degree * math.sqrt(max(be.eps, 0.0) / be.alpha) + nu,
+                         (p.degree + 1) * be.use_cost, be.perturbation_mode,
+                         (be.seed * 1000003 + 1) & 0x7FFFFFFF, (effective - exact) + extra)
+
+
+def dense_product(be1, be2):
+    for be in (be1, be2):
+        assert np.linalg.norm(be.target, 2) <= 1 + 1e-10
+    payload = (be1.target @ be2.target) / 2.0
+    eff = ((be1.alpha * be1.payload_effective) @ (be2.alpha * be2.payload_effective)) / 2.0
+    return DenseEncoding(
+        payload, 1.0, be1.ancillas + be2.ancillas + 2, be1.eps + be2.eps,
+        be1.alpha * (be1.ancillas + be1.use_cost) + be2.alpha * (be2.ancillas + be2.use_cost),
+        be1.perturbation_mode, (be1.seed * 1000003 + be2.seed + 1) & 0x7FFFFFFF, eff - payload)
+
+
+def dense_power(be, c, kappa, eps):
+    power = lambda vals: np.clip(vals, 1e-300, None) ** c / 2.0
+    payload = _matfun(be.target, power)
+    eff = _matfun(be.alpha * be.payload_effective, power)
+    return DenseEncoding(
+        payload, 1.0,
+        be.ancillas + max(1, math.ceil(math.log2(max(2.0, math.log2(1.0 / eps))))) + 2, eps,
+        be.alpha * kappa * (be.ancillas + be.use_cost) * math.log(kappa / eps) ** 2,
+        be.perturbation_mode, (be.seed * 1000003 + 7) & 0x7FFFFFFF, eff - payload)
+
+
+DENSE = {"qram_block_encoding": dense_qram, "apply_svt": dense_svt,
+         "product_preamplified": dense_product, "matrix_power": dense_power}
+
+
+def _recording(fn, log):
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        log.append(out)
+        return out
+    return wrapper
+
+
+def _run(monkeypatch, A, cfg, algebra):
+    """Run one estimator on ``algebra`` (name -> function) and log every encoding."""
+    log = []
+    with monkeypatch.context() as m:
+        for name, fn in algebra.items():
+            m.setattr(spectral_sums, name, _recording(fn, log))
+        rep = run_algorithm(A, cfg)
+    return rep, log
+
+
+def _eigenbasis_algebra():
+    return {name: getattr(spectral_sums, name) for name in DENSE}
+
+
+# ------------------------------------------------------------------ inputs
+
+
+def _inputs(n):
+    A = generate_spd(n, 10.0, "log_uniform", 0.5, 40 + n)
+    e = np.asarray(A.entries)
+    unit = generate_spd(n, 10.0, "log_uniform", 1.0, 50 + n)
+    return {
+        "spd": A,
+        "density": SymmetricMatrix(n, e / np.trace(e), spd_flag=True),
+        "unit_norm": SymmetricMatrix(n, np.asarray(unit.entries), spd_flag=True),
+        "above_one": SymmetricMatrix(n, 2.0 * np.asarray(unit.entries), spd_flag=True),
+    }
+
+
+_INPUTS = {n: _inputs(n) for n in (16, 64)}
+
+# (algorithm, p, input)
+CASES = (
+    [("logdet_svt", 1, "spd"), ("trace_inverse", 1, "spd"), ("vn_entropy", 1, "density")]
+    + [("schatten_p", p, "spd") for p in range(1, 7)]
+    + [("logdet_edge_cases", 1, "unit_norm"), ("logdet_edge_cases", 1, "above_one")]
+)
+
+
+def _case_id(case):
+    algorithm, p, kind = case
+    return f"{algorithm}{p if algorithm == 'schatten_p' else ''}-{kind}"
+
+
+def _cfg(algorithm, p, mode):
+    return AlgoConfig(eps=0.1, mode=mode, seed=3, algorithm=algorithm, p=p)
+
+
+# ------------------------------------------------------------------- tests
+
+
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("mode", ["exact", "adversarial"])
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("case", CASES, ids=_case_id)
+    def test_estimates_ledgers_and_encodings_match(self, monkeypatch, case, n, mode):
+        algorithm, p, kind = case
+        A = _INPUTS[n][kind]
+        cfg = _cfg(algorithm, p, mode)
+        ref, ref_log = _run(monkeypatch, A, cfg, DENSE)
+        got, log = _run(monkeypatch, A, cfg, _eigenbasis_algebra())
+        if kind == "unit_norm":
+            assert got.parameters["branch"] == "unit_norm"
+        assert got.estimate.value == pytest.approx(ref.estimate.value, rel=1e-9, abs=0.0)
+        assert got.ledger.as_dict() == ref.ledger.as_dict()
+        assert got.exact == ref.exact
+        assert len(log) == len(ref_log) > 0
+        for be, dense in zip(log, ref_log):
+            for attr in ("alpha", "ancillas", "eps", "use_cost", "perturbation_mode", "seed"):
+                assert getattr(be, attr) == getattr(dense, attr), attr
+            np.testing.assert_allclose(be.payload, dense.payload, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(be.perturbation, dense.perturbation, rtol=0, atol=1e-14)
+            assert be.encoding_defect() == pytest.approx(dense.encoding_defect(),
+                                                         rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("case", CASES, ids=_case_id)
+    def test_defect_within_budget(self, monkeypatch, case, n, mode):
+        algorithm, p, kind = case
+        _, log = _run(monkeypatch, _INPUTS[n][kind], _cfg(algorithm, p, mode),
+                      _eigenbasis_algebra())
+        for be in log:
+            assert be.encoding_defect() <= be.eps
+
+
+class TestEncodingAlgebra:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unit_encoding_defect_within_budget(self, mode):
+        A = _INPUTS[16]["spd"]
+        be = unit_block_encoding(A, 1e-3, mode=mode, seed=7)
+        assert be.encoding_defect() <= 1e-3
+        assert np.linalg.norm(be.perturbation, 2) == pytest.approx(be.encoding_defect(),
+                                                                   rel=1e-9, abs=1e-300)
+        assert be.basis is A.spectral.eigenvectors
+
+    def test_adversarial_saturates_top_eigenvector(self):
+        A = _INPUTS[16]["spd"]
+        be = unit_block_encoding(A, 1e-3, mode="adversarial")
+        top = A.spectral.eigenvectors[:, 0]
+        np.testing.assert_allclose(be.perturbation, 1e-3 * np.outer(top, top), atol=1e-18)
+
+    def test_products_require_a_shared_basis(self):
+        be1 = qram_block_encoding(_INPUTS[16]["spd"])
+        be2 = qram_block_encoding(_INPUTS[16]["density"])
+        for product in (product_plain, product_preamplified):
+            with pytest.raises(ValueError, match="eigenbasis"):
+                product(be1, be2)
+
+    def test_dense_payload_is_decomposed_once(self):
+        h = np.diag([0.25, 0.5, 1.0])
+        be = BlockEncoding(payload=h, alpha=1.0, ancillas=1, eps=0.0, use_cost=1.0,
+                           perturbation_mode="exact", seed=0)
+        np.testing.assert_allclose(be.payload, h, atol=1e-15)
+        assert sorted(be.payload_values) == [0.25, 0.5, 1.0]
+        assert not be.perturbation_values.any()
+
+    def test_needs_exactly_one_representation(self):
+        kw = dict(alpha=1.0, ancillas=1, eps=0.0, use_cost=1.0, perturbation_mode="exact",
+                  seed=0)
+        with pytest.raises(ValueError, match="either"):
+            BlockEncoding(**kw)
+        with pytest.raises(ValueError, match="either"):
+            BlockEncoding(payload=np.eye(2), basis=np.eye(2), **kw)
+
+    def test_dense_payload_must_be_symmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            BlockEncoding(payload=np.array([[0.5, 0.1], [0.0, 0.5]]), alpha=1.0, ancillas=1,
+                          eps=0.0, use_cost=1.0, perturbation_mode="exact", seed=0)
+
+
+def _full_grid_mu(A, grid_points):
+    """The minimum over every grid point, as the normalization was first defined."""
+    absA = np.abs(np.asarray(A.entries))
+
+    def s(M, q):
+        with np.errstate(divide="ignore"):
+            return float(np.max(np.sum(np.where(M > 0, M**q, 0.0), axis=1)))
+
+    best = float(np.linalg.norm(absA))
+    for p in np.linspace(0.0, 1.0, grid_points):
+        best = min(best, math.sqrt(s(absA, 2 * p) * s(absA.T, 2 * (1 - p))))
+    return best
+
+
+class TestMu:
+    @pytest.mark.parametrize("grid_points", [101, 51, 100, 2])
+    @pytest.mark.parametrize("profile", ["log_uniform", "uniform", "clustered"])
+    def test_matches_full_grid(self, profile, grid_points):
+        for n in (2, 17, 64):
+            for kappa in (1.0, 30.0, 1000.0):
+                A = generate_spd(n, kappa, profile, 0.5, n + int(kappa))
+                e = np.asarray(A.entries)
+                for M in (A, SymmetricMatrix(n, e / np.trace(e), spd_flag=True)):
+                    ref = _full_grid_mu(M, grid_points)
+                    assert abs(compute_mu(M, grid_points) - ref) <= 2 * np.spacing(ref)
+
+    @pytest.mark.parametrize("diag", [[0.5, 0.2, 0.1], [0.5, 0.5], list(np.linspace(0.01, 0.5, 9))])
+    def test_at_least_spectral_norm_on_diagonal(self, diag):
+        A = SymmetricMatrix(len(diag), np.diag(diag), spd_flag=True)
+        for grid_points in (101, 51, 100, 2):
+            assert compute_mu(A, grid_points) >= A.stats.spectral_norm
+
+
+class TestNoDenseWorkOnWarmMatrices:
+    """A warm run decomposes nothing: every n^3 routine is counted."""
+
+    @pytest.fixture()
+    def counters(self, monkeypatch):
+        counts = Counter()
+        decomposed = []
+        inside = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if not inside:
+                    counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        norm = np.linalg.norm
+
+        def counted_norm(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.ndim(x) == 2 and not inside:
+                counts["norm2"] += 1
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        decompose = matrix_core.spectral_decompose
+
+        def counted_decompose(A):
+            decomposed.append(A)
+            inside.append(A)
+            try:
+                return decompose(A)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(matrix_core, "spectral_decompose", counted_decompose)
+        return counts, decomposed
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_quantum_estimator(self, counters, mode):
+        inputs = _INPUTS[64]
+        cases = ([(name, 1, "density" if name == "vn_entropy" else "spd")
+                  for name in spectral_sums.ALGORITHMS]
+                 + [c for c in CASES if c[0] not in spectral_sums.ALGORITHMS])
+        for M in inputs.values():
+            M.stats
+        for algorithm, p, kind in cases:  # warm the polynomial cache
+            run_algorithm(inputs[kind], _cfg(algorithm, p, "exact"))
+        counts, decomposed = counters
+        for algorithm, p, kind in cases:
+            decomposed.clear()
+            run_algorithm(inputs[kind], _cfg(algorithm, p, mode))
+            assert not counts, (algorithm, p, dict(counts))
+            built = 1 if algorithm == "logdet_edge_cases" else 0
+            assert len(decomposed) == built, (algorithm, p)
+            assert not any(A is M for A in decomposed for M in inputs.values())

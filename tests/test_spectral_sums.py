@@ -74,6 +74,12 @@ class TestLogdetSvt:
         b = logdet_svt(A, cfg)
         assert a.estimate.value == b.estimate.value
 
+    def test_formula_tolerance_null_outside_its_normalization(self):
+        # mu = ||A|| = 0.5 on a scaled identity, so 2 kappa alpha = 1 exactly.
+        rep = logdet_svt(SymmetricMatrix(16, 0.5 * np.eye(16), spd_flag=True), AlgoConfig())
+        assert rep.parameters["eps2_formula"] is None
+        assert rep.passed
+
     def test_adversarial_still_passes(self):
         rep = logdet_svt(_matrix(), AlgoConfig(eps=0.1, mode="adversarial", seed=3))
         assert rep.passed
