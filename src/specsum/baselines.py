@@ -302,9 +302,9 @@ def classical_entropy(rho: SymmetricMatrix, eps: float,
     exact = exact_spectral_sum(rho, "neg_xlogx")
     return _report(
         "classical_entropy", value, eps, "absolute", exact, cfg, stderr,
-        series.degree * cfg.num_probes, n,
+        series.degree_used * cfg.num_probes, n,
         {
-            "eps": eps, "eps1": eps1, "degree": series.degree,
+            "eps": eps, "eps1": eps1, "degree": series.degree, "degree_used": series.degree_used,
             "rescale_log": big_l,
             "success_prob": _success_prob(cfg.num_probes, eps / 2.0),
         },
@@ -330,10 +330,10 @@ def classical_trace_inverse(A: SymmetricMatrix, eps: float,
     bound = eps * exact
     return _report(
         "classical_trace_inverse", value, bound, "relative", exact, cfg,
-        stderr, series.degree * cfg.num_probes, n,
+        stderr, series.degree_used * cfg.num_probes, n,
         {
             "eps": eps, "eps1": eps1, "delta": delta_v,
-            "degree": series.degree,
+            "degree": series.degree, "degree_used": series.degree_used,
             "success_prob": _success_prob(cfg.num_probes, eps / 2.0),
         },
     )
@@ -363,9 +363,9 @@ def classical_schatten_p(A: SymmetricMatrix, p: int, eps: float,
     bound = eps * exact
     return _report(
         "classical_schatten_p", value, bound, "relative", exact, cfg,
-        stderr, series.degree * cfg.num_probes, n,
+        stderr, series.degree_used * cfg.num_probes, n,
         {
-            "eps": eps, "p": p, "degree": series.degree,
+            "eps": eps, "p": p, "degree": series.degree, "degree_used": series.degree_used,
             "truncation_per_eig": series.certified_sup_error,
             "success_prob": _success_prob(cfg.num_probes, eps / 2.0),
         },

@@ -235,6 +235,13 @@ def trace_estimate_rel(be: BlockEncoding, eps: float, seed: int = 0,
     )
 
 
+# The adversarial product-trace value spends its relative budget less
+# 2^-30.  A caller compares it with a trace summed along another rounding
+# path, whose error is about n * 2^-53 relative; the slack covers that for
+# n below 2^23, so the value lands inside eps * Tr in floating point.
+_ROUNDING_SLACK = 2.0**-30
+
+
 def trace_product_estimate(be: BlockEncoding, eps: float, seed: int = 0,
                            delta: float | None = None) -> Estimate:
     """Multiplicative estimate of Tr[B^T B] for the encoded block B.
@@ -270,7 +277,7 @@ def trace_product_estimate(be: BlockEncoding, eps: float, seed: int = 0,
         if be.perturbation_mode == "exact":
             vals.append(true_val)
         elif be.perturbation_mode == "adversarial":
-            vals.append(true_val * (1.0 + eps))
+            vals.append(true_val * (1.0 + max(eps - _ROUNDING_SLACK, 0.5 * eps)))
         else:
             if rng.random() < 2.0 / 3.0:
                 vals.append(true_val * (1.0 + eps * rng.uniform(-1.0, 1.0)))

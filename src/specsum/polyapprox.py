@@ -2,12 +2,29 @@
 
 Builds the Chebyshev series consumed by the singular-value
 transformation steps (log, inverse, sqrt, monomial, entropy targets)
-plus the Taylor and Chebyshev log-determinant truncation rules.  Each
-series is constructed by Chebyshev-Gauss projection of the target
-function (smoothly extended outside its domain of interest) and then
-certified on a dense grid: the sup error on the certification interval
-and the global bound on [-1, 1] are both measured, with degree
-escalation until the requested tolerances hold.
+plus the Taylor and Chebyshev log-determinant truncation rules.
+
+A smooth target is projected once, by Chebyshev-Gauss quadrature, at
+the degree of its asymptotic formula.  Outside its interval of interest
+the projected function is a surrogate (a Gaussian-smoothed clip, or
+for sqrt a saturating continuation), so the coefficients decay fast.
+One certifier then chops the projection to the smallest degree that
+holds (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS
+2017): it guesses the degree from the tail sums of |c_k|, walks it
+downward and steps up only if the guess fails.  Each candidate is
+evaluated by one DCT-I on the M + 1 Chebyshev extrema cos(pi j / M),
+with M a power of two and M >= 16 (d + 1).  There the sup error is
+measured against the true target the series names, not the surrogate,
+and the global bound is max |P| times 1/cos(pi/32): a degree-d
+polynomial's sup on [-1, 1] exceeds its maximum on those points by at
+most 1/cos(pi d / 2M).  The error carries the same factor.  The
+smoothing width of each surrogate is the widest whose own error stays
+within a tenth of eps, leaving the rest to the chop.
+
+A series carries two degrees.  ``degree_used`` is the degree of the
+stored coefficients, which sets the cost of evaluating it; ``degree`` is
+the degree a quantum-model ledger charges, the formula degree unless
+certification needed more, so query counts keep the paper's asymptotics.
 """
 
 from __future__ import annotations
@@ -20,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from scipy.fft import dct
-from scipy.stats import norm as _norm
+from scipy.special import ndtr
 
 __all__ = [
     "ChebyshevSeries",
@@ -38,12 +55,19 @@ __all__ = [
 
 # Saturation level for extended targets; leaves room below the hard 1/2
 # cap for projection error.
-_SAT_CAP = 0.498
+_SAT_CAP = 0.495
 
 # Degree escalation factor and hard cap multiplier over the asymptotic
 # degree estimate.
 _ESCALATION = 1.25
 _CAP_FACTOR = 8
+
+# Certification grids hold M + 1 >= 16 (d + 1) + 1 Chebyshev extrema, so
+# max |P| over the grid times this factor bounds |P| on [-1, 1].
+_OVERSAMPLE = 16
+_GRID_MARGIN = 1.0 / math.cos(math.pi / (2 * _OVERSAMPLE))
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class CertificationError(RuntimeError):
@@ -55,14 +79,16 @@ class ChebyshevSeries:
     """A certified polynomial in the Chebyshev basis on [-1, 1].
 
     Attributes:
-        degree: Polynomial degree d.
-        coefficients: d + 1 coefficients for T_0 .. T_d.
+        degree: Degree a quantum-model ledger charges; at least the
+            degree of the coefficients.
+        coefficients: Coefficients of T_0 .. T_{degree_used}.
         target: Human-readable descriptor of the approximated function.
-        certified_sup_error: Measured sup deviation from the target on
-            the certification interval.
+        certified_sup_error: Sup deviation from the true target on the
+            certification interval, measured on the certification grid
+            with its 1/cos(pi/32) margin.
         certified_on: Interval [a, b] within [-1, 1] where the sup
             error was certified.
-        global_bound: Measured max |P(x)| over the [-1, 1] grid.
+        global_bound: Upper bound on max |P(x)| over [-1, 1].
     """
 
     degree: int
@@ -76,17 +102,26 @@ class ChebyshevSeries:
         c = np.array(self.coefficients, dtype=float)
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "degree", len(c) - 1)
+        object.__setattr__(self, "degree", max(int(self.degree), len(c) - 1))
+
+    @property
+    def degree_used(self) -> int:
+        """Degree of the stored coefficients: what evaluation costs."""
+        return len(self.coefficients) - 1
 
     def __call__(self, x):
         return _cheb.chebval(x, self.coefficients)
 
     def to_json(self) -> str:
-        """Serialize degree, coefficients, and certification metadata."""
+        """Serialize degrees, coefficients (zero-padded to degree + 1), and
+        certification metadata."""
+        padded = np.zeros(self.degree + 1)
+        padded[: len(self.coefficients)] = self.coefficients
         return json.dumps(
             {
                 "degree": self.degree,
-                "coefficients": [float(c) for c in self.coefficients],
+                "degree_used": self.degree_used,
+                "coefficients": [float(c) for c in padded],
                 "target": self.target,
                 "certified_sup_error": self.certified_sup_error,
                 "certified_on": list(self.certified_on),
@@ -125,108 +160,119 @@ def _project(f, degree: int) -> np.ndarray:
     return c
 
 
+def _measure(c: np.ndarray, target, interval: tuple, degree: int = 0) -> tuple:
+    """Sup error against target on interval, and a bound on sup |P| on [-1, 1].
+
+    P = sum c_k T_k is evaluated by one DCT-I on the extrema
+    cos(pi j / M), j = 0..M, with M the smallest power of two at least
+    16 (d + 1), d = max(degree, deg P).  M is a power of two so that the
+    FFT behind the DCT keeps to a few plan sizes.  The error is the
+    maximum of |P - target| over the grid points in the interval and its
+    end points, times 1/cos(pi/32): a bound for the sup when P - target
+    is a polynomial of degree at most d, and for a smooth target a
+    margin for the chopped terms that dominate P - target between grid
+    points.  The global bound is the smaller of the grid maximum of |P|
+    times 1/cos(pi/32) and sum |c_k|, both bounds on sup |P|.
+    """
+    d = max(degree, len(c) - 1)
+    m = 1 << (_OVERSAMPLE * (d + 1) - 1).bit_length()
+    v = np.zeros(m + 1)
+    v[: len(c)] = c
+    v[1:m] *= 0.5
+    p = dct(v, type=1)
+    x = np.cos(np.arange(m + 1) * (np.pi / m))
+    a, b = interval
+    inside = (x > a) & (x < b)
+    ends = np.array([a, b], dtype=float)
+    # T_k(x) = cos(k arccos x): one vectorised pass instead of Clenshaw.
+    p_ends = np.cos(np.outer(np.arccos(ends), np.arange(len(c)))) @ c
+    err = _GRID_MARGIN * max(
+        float(np.max(np.abs(p[inside] - target(x[inside])), initial=0.0)),
+        float(np.max(np.abs(p_ends - target(ends)))),
+    )
+    gbound = min(_GRID_MARGIN * float(np.max(np.abs(p))), float(np.sum(np.abs(c))))
+    return err, gbound
+
+
 def _certify(
     f,
+    target,
     interval: tuple,
     eps: float,
-    bound_cap: float,
     degree0: int,
-    degree_cap: int,
-    target: str,
-    parity: str | None = None,
-    grid: int = 10_000,
+    label: str,
+    odd: bool = False,
 ) -> ChebyshevSeries:
-    """Project f, measure sup error and global bound, escalate degree."""
-    a, b = interval
-    xs_dom = np.linspace(a, b, grid)
-    xs_all = np.linspace(-1.0, 1.0, grid)
-    y_dom = f(xs_dom)
-    d = max(4, int(degree0))
-    while True:
-        c = _project(f, d)
-        if parity == "odd":
-            c[0::2] = 0.0
-        elif parity == "even":
-            c[1::2] = 0.0
-        sup_err = float(np.max(np.abs(_cheb.chebval(xs_dom, c) - y_dom)))
-        gbound = float(np.max(np.abs(_cheb.chebval(xs_all, c))))
-        if sup_err <= eps and gbound <= bound_cap:
-            return ChebyshevSeries(
-                degree=d,
-                coefficients=c,
-                target=target,
-                certified_sup_error=sup_err,
-                certified_on=(float(a), float(b)),
-                global_bound=gbound,
-            )
-        if d >= degree_cap:
-            raise CertificationError(
-                f"could not certify {target} within degree cap {degree_cap}: "
-                f"sup_err={sup_err:.3e} (want <= {eps:.3e}), "
-                f"global={gbound:.3f} (want <= {bound_cap})"
-            )
-        d = min(degree_cap, int(math.ceil(d * _ESCALATION)))
+    """Chop the projection of f to the lowest degree that meets eps against target.
 
-
-def _certify_min(
-    f,
-    interval: tuple,
-    eps: float,
-    bound_cap: float,
-    degree0: int,
-    degree_cap: int,
-    target: str,
-    parity: str | None = None,
-    grid: int = 10_000,
-):
-    """Minimal certified degree by bracketing + binary search.
-
-    Returns the ChebyshevSeries of (approximately) smallest degree that
-    passes both the domain sup-error and global-bound checks, or None
-    if the degree cap is insufficient.  The smooth degree(eps) curve
-    this produces keeps ledger-based scaling fits free of escalation
-    jitter.
+    f is projected once at degree0 (escalated by 1.25 up to 8 degree0 if
+    no chop of it certifies), with its even terms zeroed if odd.
+    Dropping the terms above d moves P by at most the tail sum of |c_k|,
+    so the first guess is the lowest d whose tail fits 0.9 eps (a tenth
+    is the smoothing's share).  The guess steps up by 1.25 until it
+    certifies, walks down by 1.25 until a degree fails, and bisects to
+    the lowest certified degree (within 1%).  A candidate certifies when
+    its sup error against target is at most eps and its global bound at
+    most 1/2.  The charged degree is the larger of degree0 and the
+    certified one.
     """
     a, b = interval
-    xs_dom = np.linspace(a, b, grid)
-    xs_all = np.linspace(-1.0, 1.0, grid)
-    y_dom = f(xs_dom)
-
-    def attempt(d):
-        c = _project(f, d)
-        if parity == "odd":
+    degree0 = max(4, int(degree0))
+    cap = _CAP_FACTOR * degree0
+    d_top = degree0
+    while True:
+        c = _project(f, d_top)
+        if odd:
             c[0::2] = 0.0
-        elif parity == "even":
-            c[1::2] = 0.0
-        sup_err = float(np.max(np.abs(_cheb.chebval(xs_dom, c) - y_dom)))
-        gbound = float(np.max(np.abs(_cheb.chebval(xs_all, c))))
-        if sup_err <= eps and gbound <= bound_cap:
+
+        def attempt(d):
+            err, gbound = _measure(c[: d + 1], target, interval)
+            return (d, err, gbound) if err <= eps and gbound <= 0.5 else None
+
+        tail = np.append(np.cumsum(np.abs(c[:0:-1]))[::-1], 0.0)  # tail[d] = sum_{k>d} |c_k|
+        lo, hi = 0, max(1, int(np.argmax(tail <= 0.9 * eps)))
+        best = attempt(hi)
+        while best is None and hi < d_top:
+            lo, hi = hi, min(d_top, math.ceil(hi * _ESCALATION))
+            best = attempt(hi)
+        if best is not None:
+            while lo == 0 and hi > 1:
+                d = max(1, int(hi / _ESCALATION))
+                cand = attempt(d)
+                if cand is None:
+                    lo = d
+                else:
+                    hi, best = d, cand
+            while hi - lo > max(1, hi // 100):
+                mid = (lo + hi) // 2
+                cand = attempt(mid)
+                if cand is None:
+                    lo = mid
+                else:
+                    hi, best = mid, cand
+            d, err, gbound = best
             return ChebyshevSeries(
-                degree=d,
-                coefficients=c,
-                target=target,
-                certified_sup_error=sup_err,
+                degree=max(degree0, d),
+                coefficients=c[: d + 1],
+                target=label,
+                certified_sup_error=err,
                 certified_on=(float(a), float(b)),
                 global_bound=gbound,
             )
-        return None
+        if d_top >= cap:
+            err, gbound = _measure(c, target, interval)
+            raise CertificationError(
+                f"could not certify {label} within degree cap {cap}: "
+                f"sup_err={err:.3e} (want <= {eps:.3e}), "
+                f"global={gbound:.3f} (want <= 0.5)"
+            )
+        d_top = min(cap, math.ceil(d_top * _ESCALATION))
 
-    lo = max(4, int(degree0) // 4)
-    hi = max(8, int(degree0))
-    best = attempt(hi)
-    while best is None:
-        lo, hi = hi, min(degree_cap, hi * 2)
-        best = attempt(hi)
-        if best is None and hi >= degree_cap:
-            return None
-    while hi - lo > max(2, lo // 32):
-        mid = (lo + hi) // 2
-        cand = attempt(mid)
-        if cand is not None:
-            best, hi = cand, mid
-        else:
-            lo = mid
-    return best
+
+def _smoothed_clip(v, floor: float, s: float):
+    """E[max(floor, v + sZ)] for standard normal Z: a smooth clip of v at floor."""
+    u = (v - floor) / s
+    return floor + (v - floor) * ndtr(u) + s * (np.exp(-(u**2) / 2.0) / _SQRT_2PI)
 
 
 def _widest_width(model_err, s_max: float, tol: float) -> float:
@@ -247,16 +293,17 @@ def _widest_width(model_err, s_max: float, tol: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def approx_log(beta: float, eps: float, grid: int = 10_000) -> ChebyshevSeries:
+def approx_log(beta: float, eps: float) -> ChebyshevSeries:
     """Bounded polynomial approximation of log(x) / (2 log(2/beta)).
 
     The series matches the scaled logarithm within eps on [beta, 1] and
     stays below 1/2 in magnitude on all of [-1, 1].  The projected
-    target is log(m(x)) of a smoothly clipped argument
+    surrogate is log(m(x)) of a smoothly clipped argument
     m(x) = E[max(x_c, x + sZ)] (Gaussian smoothing of a clip at
     x_c = 0.6 beta, where the scaled log is still above -1/2).  m is an
-    entire function, so the projection converges geometrically; the
-    smoothing width s is scanned to minimize the certified degree.
+    entire function, so the projection converges geometrically.  The
+    smoothing width s is the widest whose model error fits a tenth of
+    eps; that error m(x) - x is largest at x = beta, where it is taken.
 
     Args:
         beta: Lower end of the certified interval, in (0, 1].
@@ -266,7 +313,7 @@ def approx_log(beta: float, eps: float, grid: int = 10_000) -> ChebyshevSeries:
         Certified ChebyshevSeries.
 
     Raises:
-        CertificationError: If no width certifies within the degree cap.
+        CertificationError: If no chop certifies within the degree cap.
     """
     if not (0 < beta <= 1):
         raise ValueError("beta must lie in (0, 1]")
@@ -274,45 +321,33 @@ def approx_log(beta: float, eps: float, grid: int = 10_000) -> ChebyshevSeries:
         raise ValueError("eps must lie in (0, 1/2]")
     big_l = math.log(2.0 / beta)
     x_c = 0.6 * beta
-    xs_dom = np.linspace(beta, 1.0, grid)
-    y_dom = np.log(xs_dom) / (2 * big_l)
     degree0 = max(8, math.ceil((6.0 / beta) * math.log(1.0 / (beta * eps))))
-    target = f"log(x)/(2 log(2/{beta:g}))"
+
+    def target(x):
+        return np.log(x) / (2 * big_l)
 
     def make(s):
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            u = (x - x_c) / s
-            m = x_c + (x - x_c) * _norm.cdf(u) + s * _norm.pdf(u)
-            return np.log(m) / (2 * big_l)
+        return lambda x: target(_smoothed_clip(np.asarray(x, dtype=float), x_c, s))
 
-        return f
-
-    def model_err(s):
-        return float(np.max(np.abs(make(s)(xs_dom) - y_dom)))
-
-    # Widest smoothing whose model error fits in a tenth of the budget:
-    # wider smoothing means a wider analyticity strip and lower degree,
-    # and the continuous choice keeps degree(eps) smooth for scaling fits.
-    s = _widest_width(model_err, 0.30 * beta, 0.1 * eps)
-    return _certify(
-        make(s), (beta, 1.0), eps, 0.5, degree0, _CAP_FACTOR * degree0,
-        target=target, grid=grid,
-    )
+    edge = np.array([beta])
+    s = _widest_width(lambda s: float(abs(make(s)(edge) - target(edge))[0]),
+                      0.30 * beta, 0.1 * eps)
+    return _certify(make(s), target, (beta, 1.0), eps, degree0,
+                    f"log(x)/(2 log(2/{beta:g}))")
 
 
 @lru_cache(maxsize=256)
-def approx_inverse(delta: float, eps: float, grid: int = 10_000) -> ChebyshevSeries:
+def approx_inverse(delta: float, eps: float) -> ChebyshevSeries:
     """Bounded odd polynomial approximation of 3*delta/(8x).
 
     Matches the scaled inverse within eps on [delta, 1] (and by oddness
     on [-1, -delta]) and stays below 1/2 in magnitude globally.  The
-    projected target is (3 delta/8) x / q(x) where
+    projected surrogate is (3 delta/8) x / q(x) where
     q(x) = E[max(c^2, x^2 + sZ)] is a Gaussian-smoothed clip of x^2 at
     c = 0.8 delta.  q is entire and bounded below by c^2, so the odd
-    target is analytic in a strip around [-1, 1] and the projection
-    converges geometrically; the smoothing width is scanned to
-    minimize the certified degree.
+    surrogate is analytic in a strip around [-1, 1] and the projection
+    converges geometrically.  The smoothing width is the widest whose
+    model error, largest at x = delta, fits a tenth of eps.
 
     Args:
         delta: Cutoff in (0, 1/2].
@@ -326,34 +361,28 @@ def approx_inverse(delta: float, eps: float, grid: int = 10_000) -> ChebyshevSer
     if not (0 < eps <= 0.5):
         raise ValueError("eps must lie in (0, 1/2]")
     c_sq = (0.8 * delta) ** 2
-    xs_dom = np.linspace(delta, 1.0, grid)
-    y_dom = 3 * delta / (8 * xs_dom)
     degree0 = max(8, math.ceil((7.0 / delta) * math.log(1.0 / (delta * eps))))
-    target = f"3*{delta:g}/(8x)"
     gap = delta**2 - c_sq
+
+    def target(x):
+        return 3 * delta / (8 * x)
 
     def make(s):
         def f(x):
             x = np.asarray(x, dtype=float)
-            w = x * x
-            u = (w - c_sq) / s
-            q = c_sq + (w - c_sq) * _norm.cdf(u) + s * _norm.pdf(u)
-            return 3 * delta * x / (8 * q)
+            return 3 * delta * x / (8 * _smoothed_clip(x * x, c_sq, s))
 
         return f
 
-    def model_err(s):
-        return float(np.max(np.abs(make(s)(xs_dom) - y_dom)))
-
-    s = _widest_width(model_err, 0.40 * gap, 0.1 * eps)
-    return _certify(
-        make(s), (delta, 1.0), eps, 0.5, degree0, _CAP_FACTOR * degree0,
-        target=target, parity="odd", grid=grid,
-    )
+    edge = np.array([delta])
+    s = _widest_width(lambda s: float(abs(make(s)(edge) - target(edge))[0]),
+                      0.40 * gap, 0.1 * eps)
+    return _certify(make(s), target, (delta, 1.0), eps, degree0,
+                    f"3*{delta:g}/(8x)", odd=True)
 
 
 @lru_cache(maxsize=256)
-def approx_sqrt(beta: float, eta: float, grid: int = 10_000) -> ChebyshevSeries:
+def approx_sqrt(beta: float, eta: float) -> ChebyshevSeries:
     """Bounded polynomial approximation of sqrt(x)/3 on [beta, 1].
 
     Below beta the target continues with matching value and slope and
@@ -381,20 +410,12 @@ def approx_sqrt(beta: float, eta: float, grid: int = 10_000) -> ChebyshevSeries:
         return np.where(x >= beta, hi, lo)
 
     degree0 = max(8, math.ceil((1.0 / beta) * math.log(1.0 / eta)))
-    return _certify(
-        f,
-        (beta, 1.0),
-        eta,
-        0.5,
-        degree0,
-        _CAP_FACTOR * degree0,
-        target=f"sqrt(x)/3 on [{beta:g}, 1]",
-        grid=grid,
-    )
+    return _certify(f, lambda x: np.sqrt(x) / 3.0, (beta, 1.0), eta, degree0,
+                    f"sqrt(x)/3 on [{beta:g}, 1]")
 
 
 @lru_cache(maxsize=256)
-def approx_monomial(s: int, d: int, grid: int = 10_000) -> ChebyshevSeries:
+def approx_monomial(s: int, d: int) -> ChebyshevSeries:
     """Degree-d truncation of the exact Chebyshev expansion of x^s.
 
     The truncation error obeys sup |E_{s,d}(x) - x^s| <= 2 exp(-d^2/2s)
@@ -419,9 +440,8 @@ def approx_monomial(s: int, d: int, grid: int = 10_000) -> ChebyshevSeries:
         if j == 0:
             c /= 2.0
         coeffs[j] = c
-    xs = np.linspace(-1.0, 1.0, grid)
-    err = float(np.max(np.abs(_cheb.chebval(xs, coeffs) - xs**s)))
-    gbound = float(np.max(np.abs(_cheb.chebval(xs, coeffs))))
+    # The error x^s - P has degree s: the grid is sized for it.
+    err, gbound = _measure(coeffs, lambda x: x**s, (-1.0, 1.0), degree=s)
     return ChebyshevSeries(
         degree=d_eff,
         coefficients=coeffs,
@@ -433,7 +453,7 @@ def approx_monomial(s: int, d: int, grid: int = 10_000) -> ChebyshevSeries:
 
 
 @lru_cache(maxsize=256)
-def entropy_poly(beta: float, eps1: float, grid: int = 10_000) -> ChebyshevSeries:
+def entropy_poly(beta: float, eps1: float) -> ChebyshevSeries:
     """Series for -x*log(x)/(2 log(2/beta)), built as -x times the log series.
 
     The multiplication by x preserves the global 1/2 bound and keeps
@@ -444,23 +464,19 @@ def entropy_poly(beta: float, eps1: float, grid: int = 10_000) -> ChebyshevSerie
         eps1: Requested sup error on [beta, 1].
 
     Returns:
-        Certified ChebyshevSeries of degree deg(log series) + 1.
+        Certified ChebyshevSeries; both its degrees are the log
+        series' plus one.
     """
-    s_series = approx_log(beta, eps1, grid)
+    s_series = approx_log(beta, eps1)
     coeffs = -_cheb.chebmul([0.0, 1.0], s_series.coefficients)
     big_l = math.log(2.0 / beta)
-    xs_dom = np.linspace(beta, 1.0, grid)
-    xs_all = np.linspace(-1.0, 1.0, grid)
-    err = float(
-        np.max(np.abs(_cheb.chebval(xs_dom, coeffs) + xs_dom * np.log(xs_dom) / (2 * big_l)))
-    )
-    gbound = float(np.max(np.abs(_cheb.chebval(xs_all, coeffs))))
+    err, gbound = _measure(coeffs, lambda x: -x * np.log(x) / (2 * big_l), (beta, 1.0))
     if err > eps1 or gbound > 0.5:
         raise CertificationError(
             f"entropy series certification failed: err={err:.3e}, global={gbound:.3f}"
         )
     return ChebyshevSeries(
-        degree=len(coeffs) - 1,
+        degree=s_series.degree + 1,
         coefficients=coeffs,
         target=f"-x*log(x)/(2 log(2/{beta:g}))",
         certified_sup_error=err,

@@ -330,8 +330,9 @@ def apply_svt(be: BlockEncoding, p: ChebyshevSeries, nu: float = 1e-12) -> Block
 
     Produces a (1, q+2, 4 d sqrt(eps/alpha) + nu)-encoding of
     P(A/alpha) using d applications of the input encoding plus one
-    controlled application.  The series is evaluated on the payload's
-    eigenvalues, exact and perturbed.
+    controlled application, with d = p.degree, the degree the ledger
+    charges.  The stored coefficients (degree p.degree_used) are
+    evaluated on the payload's eigenvalues, exact and perturbed.
 
     Args:
         be: Input encoding of a symmetric target.

@@ -217,7 +217,7 @@ def logdet_svt(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
             "beta_formula": beta_formula, "beta_used": beta,
             "eps2_formula": eps23_formula, "eps2_used": eps2,
             "eps3_formula": eps23_formula, "eps3_used": eps3,
-            "rescale_log": big_l, "degree": series.degree,
+            "rescale_log": big_l, "degree": series.degree, "degree_used": series.degree_used,
             "poly_sup_error": series.certified_sup_error,
             "ae_rounds": t, "reps": reps,
         },
@@ -414,7 +414,7 @@ def vn_entropy(rho: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
             "mu": mu, "kappa": kappa, "spectral_norm": norm,
             "beta_formula": beta_formula, "beta_used": beta,
             "eps1_formula": eps1, "eps1_used": eps1_used,
-            "trace_eps": eps_t, "degree": series.degree,
+            "trace_eps": eps_t, "degree": series.degree, "degree_used": series.degree_used,
             "rescale_log": big_l, "ae_rounds": t, "reps": reps,
         },
         ledger=ledger,
@@ -462,7 +462,8 @@ def trace_inverse(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
             "mu": mu, "kappa": kappa, "spectral_norm": norm,
             "delta_formula": delta_formula, "delta_used": delta_v,
             "eps12_formula": eps_formula, "eps1_used": eps1, "eps2_used": eps_i,
-            "degree": series.degree, "ae_rounds": t, "reps": reps,
+            "degree": series.degree, "degree_used": series.degree_used,
+            "ae_rounds": t, "reps": reps,
         },
         ledger=ledger,
     )

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
+from specsum import polyapprox
 from specsum.polyapprox import (
     CertificationError,
     ChebyshevSeries,
@@ -185,3 +188,74 @@ class TestSeriesContainer:
                             target="t", certified_sup_error=0.0,
                             certified_on=(-1.0, 1.0), global_bound=0.4)
         assert s.degree == 2
+
+
+# The true target of each builder, for the property test.
+def _log_target(beta):
+    return lambda x: np.log(x) / (2 * math.log(2.0 / beta))
+
+
+_TARGETS = {
+    "log": (approx_log, _log_target),
+    "inverse": (approx_inverse, lambda delta: lambda x: 3 * delta / (8 * x)),
+    "sqrt": (approx_sqrt, lambda beta: lambda x: np.sqrt(x) / 3),
+    "entropy": (entropy_poly, lambda beta: lambda x: -x * _log_target(beta)(x)),
+}
+
+
+class TestCertifiedAgainstTrueTarget:
+    """Every certified series holds against its true target off the DCT grid."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(sorted(_TARGETS)),
+           log_beta=st.floats(math.log(1 / 40), math.log(0.5)),
+           log_eps=st.floats(math.log(1e-4), math.log(0.2)))
+    def test_error_and_global_bound(self, kind, log_beta, log_eps):
+        beta, eps = math.exp(log_beta), math.exp(log_eps)
+        build, target = _TARGETS[kind]
+        s = build(beta, eps)
+        g = target(beta)
+        # First-kind Chebyshev points: none coincides with the DCT-I grid.
+        m = 64 * (s.degree_used + 1)
+        x_cheb = np.cos((np.arange(m) + 0.5) * np.pi / m)
+        x_lin = np.linspace(-1.0, 1.0, 100_001)
+        for x in (x_cheb, x_lin):
+            p = cheb.chebval(x, s.coefficients)
+            dom = x >= beta
+            assert np.max(np.abs(p[dom] - g(x[dom]))) <= eps
+            assert np.max(np.abs(p)) <= s.global_bound <= 0.5
+        assert s.certified_sup_error <= eps
+        assert s.degree >= s.degree_used
+
+
+class TestChoppedSeries:
+    def test_chop_is_far_below_formula_degree(self):
+        s = approx_log(0.037, 0.0028)
+        assert s.degree == 1488  # the formula degree the ledger charges
+        assert s.degree_used <= s.degree // 8
+        assert len(s.coefficients) == s.degree_used + 1
+
+    def test_entropy_charges_log_degree_plus_one(self):
+        log = approx_log(1 / 10, 1e-3)
+        ent = entropy_poly(1 / 10, 1e-3)
+        assert ent.degree == log.degree + 1
+        assert ent.degree_used == log.degree_used + 1
+
+    def test_entropy_and_logdet_share_the_log_cell(self, monkeypatch):
+        certified = []
+        real = polyapprox._certify
+
+        def counting(*args, **kwargs):
+            certified.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(polyapprox, "_certify", counting)
+        approx_log.cache_clear()
+        entropy_poly.cache_clear()
+        beta, eps = 0.0771, 0.00123
+        ent = entropy_poly(beta, eps)
+        hits = approx_log.cache_info().hits
+        shared = approx_log(beta, eps)  # the call logdet_svt makes
+        assert approx_log.cache_info().hits == hits + 1
+        assert len(certified) == 1
+        assert np.array_equal(ent.coefficients, -cheb.chebmul([0.0, 1.0], shared.coefficients))

@@ -139,6 +139,18 @@ class TestSchattenP:
             schatten_p(_matrix(), 0, AlgoConfig())
 
 
+class TestSchattenAdversarialKnifeEdge:
+    """At p = 1 the adversarial trace value passes straight through the
+    1/p root: it has to land inside eps * exact in floating point."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_p1_adversarial_within_guarantee(self, seed):
+        A = generate_spd(32, 10.0, "log_uniform", 0.5, seed)
+        rep = schatten_p(A, 1, AlgoConfig(eps=0.05, mode="adversarial"))
+        assert abs(rep.estimate.value - rep.exact) <= rep.guarantee_bound
+        assert rep.passed
+
+
 class TestVnEntropy:
     def test_absolute_guarantee(self):
         rho = _density()
@@ -213,3 +225,33 @@ class TestRunAlgorithm:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown"):
             run_algorithm(_matrix(), AlgoConfig(algorithm="logdet_magic"))
+
+
+# Ledgers (be_uses, ae_rounds, total_queries) recorded before the series
+# were chopped to their certified degree: the ledger charges the formula
+# degree, so these stay fixed.  sve_calls is 0 throughout.
+_LEDGER_PINS = {
+    ('logdet_svt', 1, False, 0.05): (147936402.0, 112158.0, 3698410050.0),
+    ('logdet_svt', 1, False, 0.01): (857412054.0, 560034.0, 21435301350.0),
+    ('trace_inverse', 1, False, 0.05): (5382980712.0, 3109752.0, 134574517800.0),
+    ('trace_inverse', 1, False, 0.01): (30755020032.0, 15548544.0, 768875500800.0),
+    ('schatten_p', 1, False, 0.05): (133214833322.44635, 0.0, 3330370833061.1587),
+    ('schatten_p', 1, False, 0.01): (783452884797.4717, 0.0, 19586322119936.793),
+    ('schatten_p', 5, False, 0.05): (247879116140.48804, 0.0, 6196977903512.201),
+    ('schatten_p', 5, False, 0.01): (1397777460274.8909, 0.0, 34944436506872.273),
+    ('schatten_p', 6, True, 0.05): (282063412259.5598, 0.0, 7051585306488.995),
+    ('schatten_p', 6, True, 0.01): (1578949761764.0654, 0.0, 39473744044101.63),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_LEDGER_PINS, key=repr))
+def test_ledger_pinned(key):
+    algorithm, p, mono, eps = key
+    A = generate_spd(32, 10.0, "log_uniform", 0.5, 7)
+    be_uses, ae_rounds, total = _LEDGER_PINS[key]
+    for mode in ("exact", "adversarial", "stochastic"):
+        cfg = AlgoConfig(eps=eps, mode=mode, seed=3, algorithm=algorithm, p=p,
+                         use_monomial_approx=mono)
+        assert run_algorithm(A, cfg).ledger.as_dict() == {
+            "be_uses": be_uses, "sve_calls": 0.0, "ae_rounds": ae_rounds,
+            "total_queries": total}
