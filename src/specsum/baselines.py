@@ -32,7 +32,12 @@ from .polyapprox import (
 )
 from .qmodel import CostLedger
 from .rng import stream
-from .spectral_sums import SpectralSumReport
+from .spectral_sums import (
+    SpectralSumReport,
+    _report,
+    _require_density,
+    _require_spd_contraction,
+)
 
 __all__ = [
     "ProbeConfig",
@@ -156,41 +161,15 @@ def hutchinson_trace(matvec, n: int, cfg: ProbeConfig,
     )
 
 
-def _require_spd(A: SymmetricMatrix, strict_contraction: bool) -> None:
-    if not A.spd_flag or A.spectral.eigenvalues[-1] <= 0:
-        raise ValueError("baseline requires an SPD matrix")
-    norm = A.stats.spectral_norm
-    if strict_contraction and norm >= 1:
-        raise ValueError("baseline requires ||A|| < 1")
-    if not strict_contraction and norm > 1 + 1e-12:
-        raise ValueError("baseline requires ||A|| <= 1")
-
-
-def _report(name, value, bound, guarantee, exact, cfg, stderr, matvecs, n,
-            parameters) -> SpectralSumReport:
+def _probe_report(name, value, bound, guarantee, exact, cfg, stderr, matvecs, n,
+                  parameters) -> SpectralSumReport:
+    """The report of a probe run, charging each matvec as n^2 unit operations."""
     ledger = CostLedger()
     ledger.charge(matvecs * float(n * n))
-    est = Estimate(
-        value=value,
-        abs_error_bound=bound,
-        success_prob=parameters["success_prob"],
-        queries_charged=ledger.total_queries,
-        seed=cfg.seed,
-    )
-    parameters = dict(parameters)
-    parameters.update(
-        num_probes=cfg.num_probes, probe_kind=cfg.probe_kind,
-        stderr=stderr, matvecs=matvecs,
-    )
-    return SpectralSumReport(
-        algorithm=name,
-        estimate=est,
-        exact=exact,
-        guarantee=guarantee,
-        guarantee_bound=bound,
-        parameters=parameters,
-        ledger=ledger,
-    )
+    parameters = dict(parameters, num_probes=cfg.num_probes, probe_kind=cfg.probe_kind,
+                      stderr=stderr, matvecs=matvecs)
+    return _report(name, cfg.seed, value, exact, guarantee, bound,
+                   parameters["success_prob"], False, ledger, parameters)
 
 
 def classical_logdet_taylor(A: SymmetricMatrix, eps: float,
@@ -202,7 +181,7 @@ def classical_logdet_taylor(A: SymmetricMatrix, eps: float,
     relative error eps/2, leaving the other half of the budget to the
     probe average.
     """
-    _require_spd(A, strict_contraction=True)
+    _require_spd_contraction(A)
     n = A.n
     kappa_eff = 1.0 / float(A.spectral.eigenvalues[-1])
     m = taylor_logdet_degree(kappa_eff, eps / 2.0)
@@ -220,7 +199,7 @@ def classical_logdet_taylor(A: SymmetricMatrix, eps: float,
     value = -mean
     exact = exact_spectral_sum(A, "log")
     bound = eps * abs(exact)
-    return _report(
+    return _probe_report(
         "classical_logdet_taylor", value, bound, "relative", exact, cfg,
         stderr, m * cfg.num_probes, n,
         {
@@ -240,7 +219,7 @@ def classical_logdet_chebyshev(A: SymmetricMatrix, eps: float,
     (eps/2) * log(1/||A||), so the total truncation error stays below
     half the relative budget.
     """
-    _require_spd(A, strict_contraction=True)
+    _require_spd_contraction(A)
     n = A.n
     norm = A.stats.spectral_norm
     lam_min = float(A.spectral.eigenvalues[-1])
@@ -251,24 +230,11 @@ def classical_logdet_chebyshev(A: SymmetricMatrix, eps: float,
     coeffs, d, trunc_per_n = chebyshev_logdet_setup(delta_c, per_dim)
     mat = np.asarray(A.entries)
     scale = 1.0 / (1.0 - 2.0 * delta_c)
-
-    def mapped(V):
-        return scale * (2.0 * (mat @ V) - V)
-
-    def qform(Z):
-        t_prev = Z
-        t_cur = mapped(Z)
-        acc = coeffs[0] * _coldot(Z, t_prev) + coeffs[1] * _coldot(Z, t_cur)
-        for j in range(2, d + 1):
-            t_prev, t_cur = t_cur, 2.0 * mapped(t_cur) - t_prev
-            acc += coeffs[j] * _coldot(Z, t_cur)
-        return acc
-
-    mean, stderr = _quadform_samples(qform, n, cfg)
+    mean, stderr = _cheb_quadform(lambda V: scale * (2.0 * (mat @ V) - V), coeffs, n, cfg)
     exact = exact_spectral_sum(A, "log")
     bound = eps * abs(exact)
     # Matvecs per probe: one for T_1 and one per recurrence step.
-    return _report(
+    return _probe_report(
         "classical_logdet_chebyshev", mean, bound, "relative", exact, cfg,
         stderr, d * cfg.num_probes, n,
         {
@@ -286,21 +252,16 @@ def classical_entropy(rho: SymmetricMatrix, eps: float,
     Absolute eps guarantee: the certified series error is budgeted at
     eps/2 across the n eigenvalues, the probe average takes the rest.
     """
-    tr = float(np.trace(np.asarray(rho.entries)))
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"density input requires unit trace, got {tr!r}")
-    w = rho.spectral.eigenvalues
-    if w[-1] <= 0:
-        raise ValueError("entropy baseline requires strictly positive eigenvalues")
+    _require_density(rho)
     n = rho.n
-    beta = float(w[-1])
+    beta = float(rho.spectral.eigenvalues[-1])
     big_l = math.log(2.0 / beta)
     eps1 = eps / (4.0 * n * big_l)
     series = entropy_poly(beta, eps1)
-    mean, stderr = _cheb_quadform(rho, series.coefficients, n, cfg)
+    mean, stderr = _cheb_quadform(lambda V: rho.entries @ V, series.coefficients, n, cfg)
     value = 2.0 * big_l * mean
     exact = exact_spectral_sum(rho, "neg_xlogx")
-    return _report(
+    return _probe_report(
         "classical_entropy", value, eps, "absolute", exact, cfg, stderr,
         series.degree_used * cfg.num_probes, n,
         {
@@ -319,16 +280,16 @@ def classical_trace_inverse(A: SymmetricMatrix, eps: float,
     series tolerance eps1 = 3*eps*delta/16 keeps the unscaled
     polynomial error below (eps/2) per dimension.
     """
-    _require_spd(A, strict_contraction=False)
+    _require_spd_contraction(A, strict=False)
     n = A.n
     delta_v = float(A.spectral.eigenvalues[-1])
     eps1 = 3.0 * eps * delta_v / 16.0
     series = approx_inverse(delta_v, eps1)
-    mean, stderr = _cheb_quadform(A, series.coefficients, n, cfg)
+    mean, stderr = _cheb_quadform(lambda V: A.entries @ V, series.coefficients, n, cfg)
     value = 8.0 * mean / (3.0 * delta_v)
     exact = exact_spectral_sum(A, "inverse")
     bound = eps * exact
-    return _report(
+    return _probe_report(
         "classical_trace_inverse", value, bound, "relative", exact, cfg,
         stderr, series.degree_used * cfg.num_probes, n,
         {
@@ -350,18 +311,18 @@ def classical_schatten_p(A: SymmetricMatrix, p: int, eps: float,
     """
     if p < 1 or p != int(p):
         raise ValueError("p must be a positive integer")
-    _require_spd(A, strict_contraction=False)
+    _require_spd_contraction(A, strict=False)
     n = A.n
     norm = A.stats.spectral_norm
     # Per-eigenvalue truncation budget relative to Tr[A^p] >= ||A||^p.
     eps_m = eps / 2.0 * norm**p / n
     d = min(p, math.ceil(math.sqrt(2.0 * p * math.log(2.0 / eps_m))))
     series = approx_monomial(p, d)
-    mean, stderr = _cheb_quadform(A, series.coefficients, n, cfg)
+    mean, stderr = _cheb_quadform(lambda V: A.entries @ V, series.coefficients, n, cfg)
     value = max(mean, 0.0) ** (1.0 / p)
     exact = exact_spectral_sum(A, "x_pow_p", p) ** (1.0 / p)
     bound = eps * exact
-    return _report(
+    return _probe_report(
         "classical_schatten_p", value, bound, "relative", exact, cfg,
         stderr, series.degree_used * cfg.num_probes, n,
         {
@@ -372,10 +333,12 @@ def classical_schatten_p(A: SymmetricMatrix, p: int, eps: float,
     )
 
 
-def _cheb_quadform(A: SymmetricMatrix, coeffs: np.ndarray, n: int,
-                   cfg: ProbeConfig) -> tuple[float, float]:
-    """Hutchinson samples of z^T P(A) z via the three-term recurrence."""
-    mat = np.asarray(A.entries)
+def _cheb_quadform(op, coeffs: np.ndarray, n: int, cfg: ProbeConfig) -> tuple[float, float]:
+    """Hutchinson samples of z^T P(M) z via the three-term recurrence.
+
+    op maps an n x k block V to M V for the operator M the series is
+    evaluated at.
+    """
     d = len(coeffs) - 1
 
     def qform(Z):
@@ -383,10 +346,10 @@ def _cheb_quadform(A: SymmetricMatrix, coeffs: np.ndarray, n: int,
         acc = coeffs[0] * _coldot(Z, t_prev)
         if d == 0:
             return acc
-        t_cur = mat @ Z
+        t_cur = op(Z)
         acc += coeffs[1] * _coldot(Z, t_cur)
         for j in range(2, d + 1):
-            t_prev, t_cur = t_cur, 2.0 * (mat @ t_cur) - t_prev
+            t_prev, t_cur = t_cur, 2.0 * op(t_cur) - t_prev
             acc += coeffs[j] * _coldot(Z, t_cur)
         return acc
 

@@ -192,10 +192,6 @@ def sweep(n, kappa, profile, norm, matrix_seed, algorithm, axis, values,
             matrices[key] = generate_spd(nn, kk, _PROFILES[profile], norm, matrix_seed)
         return matrices[key]
 
-    for v, _ in cells:  # build matrices and fill their caches serially so workers only read
-        A = matrix_for(v)
-        A.spectral, A.stats
-
     def run_cell(cell):
         value, seed = cell
         cfg = AlgoConfig(
@@ -206,6 +202,9 @@ def sweep(n, kappa, profile, norm, matrix_seed, algorithm, axis, values,
         return run_algorithm(matrix_for(value), cfg)
 
     try:
+        for v, _ in cells:  # build matrices and fill their caches serially so workers only read
+            A = matrix_for(v)
+            A.spectral, A.stats
         with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
             reports = list(pool.map(run_cell, cells))
     except (ValueError, CertificationError) as exc:

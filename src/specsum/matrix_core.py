@@ -29,7 +29,6 @@ __all__ = [
     "compute_stats",
     "condition_number",
     "exact_spectral_sum",
-    "scale_to_contraction",
     "SYMMETRY_TOL",
 ]
 
@@ -108,8 +107,8 @@ class MatrixStats:
         frobenius_norm: Frobenius norm.
         kappa: Ratio of largest to smallest nonzero singular value.
         mu: Encoding normalization: the smaller of the Frobenius norm
-            and sqrt(s_{2p}(A) * s_{2(1-p)}(A^T)) at the p-grid point
-            nearest 1/2, which minimizes the candidate over the grid
+            and sqrt(s_1(A) * s_1(A^T)), the largest absolute row sums,
+            which is the minimum over p of sqrt(s_{2p}(A) * s_{2(1-p)}(A^T))
             (see compute_mu).
     """
 
@@ -242,33 +241,25 @@ def _row_power_sum_max(absA: np.ndarray, p: float) -> float:
     return float(np.max(np.sum(powd, axis=1)))
 
 
-def compute_mu(A: SymmetricMatrix, grid_points: int = 101) -> float:
-    """Encoding normalization mu(A).
+def compute_mu(A: SymmetricMatrix) -> float:
+    """Encoding normalization mu(A) = min(||A||_F, sqrt(s_1(A) * s_1(A^T))).
 
-    Minimum of the Frobenius norm and sqrt(s_{2p}(A) * s_{2(1-p)}(A^T))
-    over a uniform p-grid in [0, 1].  Each row's sum_j |a_ij|^q is
-    log-convex in q, so log s_{2p}(A) + log s_{2-2p}(A^T) is convex in
-    p, and for symmetric A it is symmetric about p = 1/2.  The grid
-    minimum therefore lies at the middle grid point (the two middle
-    points when grid_points is even), and only those are evaluated; at
-    p = 1/2 the candidate is s_1(A), the largest absolute row sum.
+    The normalization of the source minimizes the Frobenius norm and
+    sqrt(s_{2p}(A) * s_{2(1-p)}(A^T)) over p in [0, 1].  Each row's
+    sum_j |a_ij|^q is log-convex in q, so log s_{2p}(A) + log s_{2-2p}(A^T)
+    is convex in p, and for symmetric A it is symmetric about p = 1/2,
+    where it is minimal.  There the candidate is s_1(A), the largest
+    absolute row sum.
 
     Args:
         A: Input matrix.
-        grid_points: Number of grid values of p, at least 2.
 
     Returns:
-        The minimized normalization; never exceeds the Frobenius norm.
+        The normalization; never exceeds the Frobenius norm.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
     absA = np.abs(np.asarray(A.entries))
-    best = float(np.linalg.norm(absA))
-    grid = np.linspace(0.0, 1.0, grid_points)
-    for p in grid[(grid_points - 1) // 2:grid_points // 2 + 1]:
-        cand = math.sqrt(_row_power_sum_max(absA, 2 * p) * _row_power_sum_max(absA.T, 2 * (1 - p)))
-        best = min(best, cand)
-    return best
+    rows = math.sqrt(_row_power_sum_max(absA, 1.0) * _row_power_sum_max(absA.T, 1.0))
+    return min(float(np.linalg.norm(absA)), rows)
 
 
 def condition_number(A: SymmetricMatrix) -> float:
@@ -280,14 +271,14 @@ def condition_number(A: SymmetricMatrix) -> float:
     return float(nz[0] / nz[-1])
 
 
-def compute_stats(A: SymmetricMatrix, grid_points: int = 101) -> MatrixStats:
+def compute_stats(A: SymmetricMatrix) -> MatrixStats:
     """Assemble norms, condition number, and mu."""
     sv = A.spectral.singular_values
     return MatrixStats(
         spectral_norm=float(sv[0]),
         frobenius_norm=float(np.linalg.norm(np.asarray(A.entries))),
         kappa=condition_number(A),
-        mu=compute_mu(A, grid_points),
+        mu=compute_mu(A),
     )
 
 
@@ -327,28 +318,3 @@ def exact_spectral_sum(A: SymmetricMatrix, f: str, p: float | None = None) -> fl
     if f == "exp":
         return float(np.sum(np.exp(w)))
     raise ValueError(f"unknown spectral function: {f!r}")
-
-
-def scale_to_contraction(A: SymmetricMatrix, target: float):
-    """Scale A so its spectral norm equals target.
-
-    Args:
-        A: Input matrix, nonzero.
-        target: Desired spectral norm in (0, 1).
-
-    Returns:
-        Tuple (A/alpha as SymmetricMatrix, alpha) with
-        ||A/alpha|| == target; callers undo via the n*log(alpha)
-        correction.
-
-    Raises:
-        ValueError: For the zero matrix or target outside (0, 1).
-    """
-    if not (0 < target < 1):
-        raise ValueError("target must lie in (0, 1)")
-    norm = float(A.spectral.singular_values[0])
-    if norm == 0:
-        raise ValueError("cannot scale the zero matrix")
-    alpha = norm / target
-    scaled = SymmetricMatrix(n=A.n, entries=np.asarray(A.entries) / alpha, spd_flag=A.spd_flag)
-    return scaled, alpha

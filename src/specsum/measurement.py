@@ -1,7 +1,7 @@
 """Emulated quantum estimation primitives.
 
-Amplitude estimation, Hadamard-test trace estimation (absolute and
-relative), product-trace estimation, inner-product estimation, and
+Amplitude estimation, Hadamard-test trace estimation (absolute
+guarantee), product-trace estimation, inner-product estimation, and
 quantum Monte Carlo mean estimation.  Each primitive reproduces its
 error/success-probability contract and charges abstract query units;
 stochastic draws come from counter-based streams so repeated runs with
@@ -28,7 +28,6 @@ __all__ = [
     "ae_rounds_for",
     "median_reps",
     "trace_estimate_abs",
-    "trace_estimate_rel",
     "trace_product_estimate",
     "inner_product_estimate",
     "hadamard_test_estimate",
@@ -192,46 +191,6 @@ def trace_estimate_abs(be: BlockEncoding, eps: float, seed: int = 0,
         queries_charged=reps * t * be.use_cost,
         seed=seed,
         failed=n_failed * 2 > reps,
-    )
-
-
-def trace_estimate_rel(be: BlockEncoding, eps: float, seed: int = 0,
-                       tr_lower_bound: float | None = None,
-                       kappa: float | None = None,
-                       delta: float | None = None) -> Estimate:
-    """Trace estimation with relative guarantee eps * Tr.
-
-    Reduces to the absolute estimator at precision
-    eps * tr_lower_bound / n; the lower bound defaults to n/kappa for
-    SPD contractions.
-
-    Args:
-        be: Block-encoding of an SPD contraction.
-        eps: Relative error target.
-        seed: Stream seed.
-        tr_lower_bound: Known lower bound on the trace; overrides the
-            n/kappa default.
-        kappa: Condition number used for the default lower bound.
-        delta: Optional failure probability for median amplification.
-
-    Returns:
-        Estimate with abs_error_bound = eps * tr_lower_bound scaled to
-        the actual guarantee form.
-    """
-    n = be.n
-    if tr_lower_bound is None:
-        if kappa is None:
-            raise ValueError("need tr_lower_bound or kappa")
-        tr_lower_bound = n / kappa
-    eps_abs = eps * tr_lower_bound / n
-    est = trace_estimate_abs(be, eps_abs, seed=seed, delta=delta)
-    return Estimate(
-        value=est.value,
-        abs_error_bound=est.abs_error_bound,
-        success_prob=est.success_prob,
-        queries_charged=est.queries_charged,
-        seed=seed,
-        failed=est.failed,
     )
 
 

@@ -50,7 +50,6 @@ __all__ = [
     "taylor_logdet_degree",
     "chebyshev_logdet_coeffs",
     "chebyshev_logdet_setup",
-    "eval_series",
 ]
 
 # Saturation level for extended targets; leaves room below the hard 1/2
@@ -128,25 +127,6 @@ class ChebyshevSeries:
                 "global_bound": self.global_bound,
             }
         )
-
-
-def eval_series(p: ChebyshevSeries, x):
-    """Evaluate a series at x in [-1, 1] via the Clenshaw recurrence.
-
-    Args:
-        p: Series to evaluate.
-        x: Scalar or array of points in [-1, 1].
-
-    Returns:
-        Series value(s).
-
-    Raises:
-        ValueError: If any point lies outside [-1, 1].
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < -1.0) or np.any(arr > 1.0):
-        raise ValueError("evaluation point outside [-1, 1]")
-    return _cheb.chebval(x, p.coefficients)
 
 
 def _project(f, degree: int) -> np.ndarray:

@@ -9,6 +9,11 @@ the perturbation's eigenvalues.  Beyond the one cached ``eigh`` of A,
 every combinator works on these vectors in O(n) or O(n d) for a
 degree-d polynomial; the dense matrices are views built on demand.
 
+Encodings enter through ``qram_block_encoding`` only, the
+(mu, log n, 0)-encoding of A; ``apply_svt``, ``product_preamplified``
+and ``matrix_power`` derive every other one from it.  ``BlockEncoding``
+itself takes only a basis and eigenvalue vectors.
+
 Perturbations are diagonal in the same basis, with spectral norm
 max|e| <= eps: exact mode draws none, adversarial mode puts the whole
 budget on the top eigenvector of the target (the matrix eps v v^T), and
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .matrix_core import SYMMETRY_TOL, SymmetricMatrix, SpectralData
+from .matrix_core import SymmetricMatrix, SpectralData
 from .polyapprox import ChebyshevSeries
 from .rng import stream
 
@@ -40,12 +45,9 @@ __all__ = [
     "CostLedger",
     "polylog",
     "qram_block_encoding",
-    "unit_block_encoding",
     "apply_svt",
-    "product_plain",
     "product_preamplified",
     "matrix_power",
-    "density_block_encoding",
     "sve_estimate",
     "sve_all",
 ]
@@ -115,13 +117,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class BlockEncoding:
     """An emulated (alpha, q, eps)-block-encoding, stored in an eigenbasis.
-
-    Built either from a shared basis and eigenvalue vectors (what every
-    combinator does) or from a dense symmetric ``payload``, which is
-    eigendecomposed once, here.
 
     Attributes:
         basis: Orthogonal (n, n) eigenvector matrix shared, read-only,
@@ -130,7 +128,7 @@ class BlockEncoding:
             target divided by alpha), matching the basis columns.
         perturbation_values: Eigenvalues of the drawn payload-level
             perturbation (fixed at construction; includes noise
-            inherited from inputs), in the same basis.
+            inherited from inputs), in the same basis; zeros if omitted.
         alpha: Normalization, at least the target's spectral norm.
         ancillas: Ancilla qubit count q.
         eps: Encoding error budget; the effective payload deviates from
@@ -142,7 +140,7 @@ class BlockEncoding:
 
     basis: np.ndarray = field(repr=False)
     payload_values: np.ndarray
-    perturbation_values: np.ndarray
+    perturbation_values: np.ndarray | None = None
     alpha: float
     ancillas: int
     eps: float
@@ -150,36 +148,17 @@ class BlockEncoding:
     perturbation_mode: str
     seed: int
 
-    def __init__(self, *, alpha: float, ancillas: int, eps: float, use_cost: float,
-                 perturbation_mode: str, seed: int, basis: np.ndarray | None = None,
-                 payload_values: np.ndarray | None = None,
-                 perturbation_values: np.ndarray | None = None,
-                 payload: np.ndarray | None = None):
-        either = "give either a dense payload or basis and payload_values"
-        if payload is not None:
-            if basis is not None or payload_values is not None:
-                raise ValueError(either)
-            p = np.asarray(payload, dtype=float)
-            if p.ndim != 2 or p.shape[0] != p.shape[1] or \
-                    np.max(np.abs(p - p.T)) > SYMMETRY_TOL:
-                raise ValueError("a dense payload must be a symmetric square matrix")
-            spectral = SymmetricMatrix(p.shape[0], p).spectral
-            basis, payload_values = spectral.eigenvectors, spectral.eigenvalues
-        elif basis is None or payload_values is None:
-            raise ValueError(either)
-        values = _readonly(payload_values)
+    def __post_init__(self):
+        values = _readonly(self.payload_values)
         n = values.shape[0]
-        noise = np.zeros(n) if perturbation_values is None else perturbation_values
-        noise = _readonly(noise)
-        if basis.shape != (n, n) or noise.shape != (n,):
+        noise = _readonly(np.zeros(n) if self.perturbation_values is None
+                          else self.perturbation_values)
+        if self.basis.shape != (n, n) or noise.shape != (n,):
             raise ValueError("basis, payload_values and perturbation_values disagree in size")
-        if use_cost <= 0:
+        if self.use_cost <= 0:
             raise ValueError("use_cost must be positive")
-        for name, value in (("basis", basis), ("payload_values", values),
-                            ("perturbation_values", noise), ("alpha", alpha),
-                            ("ancillas", ancillas), ("eps", eps), ("use_cost", use_cost),
-                            ("perturbation_mode", perturbation_mode), ("seed", seed)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "payload_values", values)
+        object.__setattr__(self, "perturbation_values", noise)
 
     @property
     def n(self) -> int:
@@ -227,13 +206,6 @@ class BlockEncoding:
         return float(self.alpha * np.max(np.abs(self.perturbation_values), initial=0.0))
 
 
-def _shared_basis(be1: BlockEncoding, be2: BlockEncoding) -> np.ndarray:
-    """The basis two encodings share; products of non-commuting payloads are rejected."""
-    if be1.basis is not be2.basis:
-        raise ValueError("product requires encodings that share one eigenbasis")
-    return be1.basis
-
-
 def qram_block_encoding(A: SymmetricMatrix, mode: str = "exact", seed: int = 0) -> BlockEncoding:
     """(mu, log n, 0)-block-encoding of A from quantum-access structures.
 
@@ -261,67 +233,6 @@ def qram_block_encoding(A: SymmetricMatrix, mode: str = "exact", seed: int = 0) 
         use_cost=polylog(A.n),
         perturbation_mode=mode,
         seed=seed,
-    )
-
-
-def unit_block_encoding(A: SymmetricMatrix, eps: float, mode: str = "exact",
-                        seed: int = 0) -> BlockEncoding:
-    """(1, 1 + log(n/eps), eps)-block-encoding of an SPD contraction.
-
-    Args:
-        A: SPD matrix with spectral norm at most 1.
-        eps: Encoding error, positive.
-        mode: Perturbation mode.
-        seed: Perturbation stream seed.
-
-    Returns:
-        Encoding with alpha = 1 and use_cost mu(A)/eps * polylog(n).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if A.stats.spectral_norm > 1 + 1e-12:
-        raise ValueError("unit encoding requires ||A|| <= 1")
-    if not A.spd_flag:
-        raise ValueError("unit encoding is restricted to SPD input")
-    values = A.spectral.eigenvalues
-    return BlockEncoding(
-        basis=A.spectral.eigenvectors,
-        payload_values=values,
-        alpha=1.0,
-        ancillas=1 + math.ceil(math.log2(A.n / eps)),
-        eps=eps,
-        use_cost=(A.stats.mu / eps) * polylog(A.n),
-        perturbation_mode=mode,
-        seed=seed,
-        perturbation_values=_draw_perturbation(values, eps, mode, seed),
-    )
-
-
-def density_block_encoding(rho: SymmetricMatrix) -> BlockEncoding:
-    """(1, 2 log n, 0)-block-encoding of a density matrix.
-
-    Args:
-        rho: PSD matrix with unit trace (within 1e-10).
-
-    Returns:
-        Exact encoding with alpha = 1 and unit use cost.
-
-    Raises:
-        ValueError: If the trace deviates from 1.
-    """
-    tr = float(np.trace(np.asarray(rho.entries)))
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"density encoding requires unit trace, got {tr!r}")
-    logn = max(1, math.ceil(math.log2(rho.n)))
-    return BlockEncoding(
-        basis=rho.spectral.eigenvectors,
-        payload_values=rho.spectral.eigenvalues,
-        alpha=1.0,
-        ancillas=2 * logn,
-        eps=0.0,
-        use_cost=1.0,
-        perturbation_mode="exact",
-        seed=0,
     )
 
 
@@ -369,31 +280,6 @@ def apply_svt(be: BlockEncoding, p: ChebyshevSeries, nu: float = 1e-12) -> Block
     )
 
 
-def product_plain(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
-    """Plain product combinator: (alpha*beta, a+b, alpha*eps2 + beta*eps1).
-
-    Used only for composition tests; the mainline pipelines use the
-    preamplified product.
-
-    Raises:
-        ValueError: If the encodings do not share one eigenbasis.
-    """
-    basis = _shared_basis(be1, be2)
-    payload = be1.payload_values * be2.payload_values
-    eff = be1.effective_values * be2.effective_values
-    return BlockEncoding(
-        basis=basis,
-        payload_values=payload,
-        alpha=be1.alpha * be2.alpha,
-        ancillas=be1.ancillas + be2.ancillas,
-        eps=be1.alpha * be2.eps + be2.alpha * be1.eps,
-        use_cost=be1.use_cost + be2.use_cost,
-        perturbation_mode=be1.perturbation_mode,
-        seed=(be1.seed * 1000003 + be2.seed) & 0x7FFFFFFF,
-        perturbation_values=eff - payload,
-    )
-
-
 def product_preamplified(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
     """Preamplified product: a (1, a1+a2+2, eps1+eps2)-encoding of A1*A2/2.
 
@@ -404,11 +290,12 @@ def product_preamplified(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncodin
     for be in (be1, be2):
         if np.max(np.abs(be.alpha * be.payload_values)) > 1 + 1e-10:
             raise ValueError("preamplified product requires ||target|| <= 1")
-    basis = _shared_basis(be1, be2)
+    if be1.basis is not be2.basis:
+        raise ValueError("product requires encodings that share one eigenbasis")
     payload = (be1.alpha * be1.payload_values) * (be2.alpha * be2.payload_values) / 2.0
     eff = (be1.alpha * be1.effective_values) * (be2.alpha * be2.effective_values) / 2.0
     return BlockEncoding(
-        basis=basis,
+        basis=be1.basis,
         payload_values=payload,
         alpha=1.0,
         ancillas=be1.ancillas + be2.ancillas + 2,

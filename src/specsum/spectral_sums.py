@@ -35,12 +35,10 @@ from .polyapprox import (
     entropy_poly,
 )
 from .qmodel import (
-    BlockEncoding,
     CostLedger,
     SveOracle,
     apply_svt,
     matrix_power,
-    polylog,
     product_preamplified,
     qram_block_encoding,
     sve_all,
@@ -56,7 +54,6 @@ from .measurement import (
     trace_estimate_abs,
     trace_product_estimate,
 )
-from .rng import stream
 
 __all__ = [
     "AlgoConfig",
@@ -149,6 +146,7 @@ class SpectralSumReport:
 
 
 def _require_spd_contraction(A: SymmetricMatrix, strict: bool = True) -> None:
+    """Reject input that is not SPD, or not a (strict) contraction."""
     if not A.spd_flag or A.spectral.eigenvalues[-1] <= 0:
         raise ValueError("estimator requires an SPD matrix")
     norm = A.stats.spectral_norm
@@ -156,6 +154,28 @@ def _require_spd_contraction(A: SymmetricMatrix, strict: bool = True) -> None:
         raise ValueError("||A|| >= 1: use the edge-case handler")
     if not strict and norm > 1 + 1e-12:
         raise ValueError("estimator requires ||A|| <= 1")
+
+
+def _require_density(rho: SymmetricMatrix) -> None:
+    """Reject input without unit trace or with an eigenvalue <= 0."""
+    tr = float(np.trace(np.asarray(rho.entries)))
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"density input requires unit trace, got {tr!r}")
+    w_min = float(rho.spectral.eigenvalues[-1])
+    if w_min <= 0:
+        raise ValueError(f"eigenvalue {w_min:.3e} below the certified domain cutoff")
+
+
+def _report(algorithm: str, seed: int, value: float, exact: float | None, guarantee: str,
+            bound: float, success_prob: float, failed: bool, ledger: CostLedger,
+            parameters: dict, warnings: list | None = None) -> SpectralSumReport:
+    """A report whose estimate claims the guarantee bound and charges the ledger total."""
+    est = Estimate(value=value, abs_error_bound=bound, success_prob=success_prob,
+                   queries_charged=ledger.total_queries, seed=seed, failed=failed)
+    return SpectralSumReport(algorithm=algorithm, estimate=est, exact=exact,
+                             guarantee=guarantee, guarantee_bound=bound,
+                             parameters=parameters, ledger=ledger,
+                             warnings=[] if warnings is None else warnings)
 
 
 def _relative_bound(eps: float, exact: float | None, n: int, norm: float, warnings: list):
@@ -203,15 +223,10 @@ def logdet_svt(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     reps = median_reps(cfg.delta)
     t = ae_rounds_for(eps2)
     ledger.charge(ipe.queries_charged, be_uses=reps * t * (series.degree + 1), ae_rounds=reps * t)
-    est = Estimate(value=value, abs_error_bound=bound, success_prob=1.0 - 2.0 * cfg.delta,
-                   queries_charged=ledger.total_queries, seed=cfg.seed, failed=ipe.failed)
-    return SpectralSumReport(
-        algorithm="logdet_svt",
-        estimate=est,
-        exact=exact,
-        guarantee="relative",
-        guarantee_bound=bound,
-        parameters={
+    return _report(
+        "logdet_svt", cfg.seed, value, exact, "relative", bound, 1.0 - 2.0 * cfg.delta,
+        ipe.failed, ledger,
+        {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "alpha": alpha, "kappa": kappa, "spectral_norm": norm,
             "beta_formula": beta_formula, "beta_used": beta,
@@ -221,8 +236,7 @@ def logdet_svt(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
             "poly_sup_error": series.certified_sup_error,
             "ae_rounds": t, "reps": reps,
         },
-        ledger=ledger,
-        warnings=warnings,
+        warnings,
     )
 
 
@@ -262,17 +276,11 @@ def logdet_edge_cases(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
         deflated = SymmetricMatrix(rest.size, np.diag(rest), spd_flag=True)
         sub = logdet_svt(deflated, cfg)
         bound = cfg.eps * abs(sub.exact) if sub.exact is not None else sub.guarantee_bound
-        est = Estimate(value=sub.estimate.value, abs_error_bound=bound,
-                       success_prob=sub.estimate.success_prob,
-                       queries_charged=sub.estimate.queries_charged,
-                       seed=cfg.seed, failed=sub.estimate.failed)
         sub.parameters.update({"branch": "unit_norm", "multiplicity": m,
                                "sigma_next": float(rest.max())})
-        return SpectralSumReport(
-            algorithm="logdet_edge_cases", estimate=est, exact=exact,
-            guarantee="relative", guarantee_bound=bound,
-            parameters=sub.parameters, ledger=sub.ledger, warnings=warnings,
-        )
+        return _report("logdet_edge_cases", cfg.seed, sub.estimate.value, exact, "relative",
+                       bound, sub.estimate.success_prob, sub.estimate.failed, sub.ledger,
+                       sub.parameters, warnings)
     # ||A|| > 1: rescale to a contraction and undo the shift.
     alpha_shift = norm / 0.5
     scaled = SymmetricMatrix(n, np.asarray(A.entries) / alpha_shift, spd_flag=True)
@@ -283,18 +291,11 @@ def logdet_edge_cases(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
                                         seed=cfg.seed, algorithm="logdet_svt"))
     value = sub.estimate.value + n * math.log(alpha_shift)
     exact = exact_spectral_sum(A, "log")
-    bound = n * cfg.eps
-    est = Estimate(value=value, abs_error_bound=bound,
-                   success_prob=sub.estimate.success_prob,
-                   queries_charged=sub.estimate.queries_charged,
-                   seed=cfg.seed, failed=sub.estimate.failed)
     sub.parameters.update({"branch": "rescale", "alpha_shift": alpha_shift,
                            "eps_inner": eps_inner})
-    return SpectralSumReport(
-        algorithm="logdet_edge_cases", estimate=est, exact=exact,
-        guarantee="absolute", guarantee_bound=bound,
-        parameters=sub.parameters, ledger=sub.ledger, warnings=warnings,
-    )
+    return _report("logdet_edge_cases", cfg.seed, value, exact, "absolute", n * cfg.eps,
+                   sub.estimate.success_prob, sub.estimate.failed, sub.ledger,
+                   sub.parameters, warnings)
 
 
 def schatten_p(A: SymmetricMatrix, p: int, cfg: AlgoConfig) -> SpectralSumReport:
@@ -354,17 +355,8 @@ def schatten_p(A: SymmetricMatrix, p: int, cfg: AlgoConfig) -> SpectralSumReport
     ledger = CostLedger()
     ledger.charge(tp.queries_charged, be_uses=tp.queries_charged / max(be.use_cost, 1.0))
     parameters.update({"payload_scale": scale, "trace_eps": cfg.eps})
-    est = Estimate(value=value, abs_error_bound=bound, success_prob=tp.success_prob,
-                   queries_charged=ledger.total_queries, seed=cfg.seed, failed=tp.failed)
-    return SpectralSumReport(
-        algorithm=f"schatten_{p}",
-        estimate=est,
-        exact=exact,
-        guarantee="relative",
-        guarantee_bound=bound,
-        parameters=parameters,
-        ledger=ledger,
-    )
+    return _report(f"schatten_{p}", cfg.seed, value, exact, "relative", bound,
+                   tp.success_prob, tp.failed, ledger, parameters)
 
 
 def vn_entropy(rho: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
@@ -373,14 +365,8 @@ def vn_entropy(rho: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     Requires unit trace and nonzero eigenvalues above the certified
     cutoff.  Absolute eps guarantee.
     """
-    tr = float(np.trace(np.asarray(rho.entries)))
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"density input requires unit trace, got {tr!r}")
+    _require_density(rho)
     w = rho.spectral.eigenvalues
-    if w[-1] <= 0:
-        raise ValueError(
-            f"eigenvalue {float(w[-1]):.3e} below the certified domain cutoff"
-        )
     st = rho.stats
     n, mu, kappa, norm = rho.n, st.mu, st.kappa, st.spectral_norm
     beta_formula = 1.0 / (mu * kappa)
@@ -401,15 +387,10 @@ def vn_entropy(rho: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     reps = median_reps(cfg.delta)
     ledger.charge(tr_est.queries_charged, be_uses=reps * t * (series.degree + 1),
                   ae_rounds=reps * t)
-    est = Estimate(value=value, abs_error_bound=bound, success_prob=1.0 - cfg.delta,
-                   queries_charged=ledger.total_queries, seed=cfg.seed, failed=tr_est.failed)
-    return SpectralSumReport(
-        algorithm="vn_entropy",
-        estimate=est,
-        exact=exact,
-        guarantee="absolute",
-        guarantee_bound=bound,
-        parameters={
+    return _report(
+        "vn_entropy", cfg.seed, value, exact, "absolute", bound, 1.0 - cfg.delta,
+        tr_est.failed, ledger,
+        {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "mu": mu, "kappa": kappa, "spectral_norm": norm,
             "beta_formula": beta_formula, "beta_used": beta,
@@ -417,7 +398,6 @@ def vn_entropy(rho: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
             "trace_eps": eps_t, "degree": series.degree, "degree_used": series.degree_used,
             "rescale_log": big_l, "ae_rounds": t, "reps": reps,
         },
-        ledger=ledger,
     )
 
 
@@ -449,15 +429,10 @@ def trace_inverse(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     reps = median_reps(cfg.delta)
     ledger.charge(tr_est.queries_charged, be_uses=reps * t * (series.degree + 1),
                   ae_rounds=reps * t)
-    est = Estimate(value=value, abs_error_bound=bound, success_prob=1.0 - cfg.delta,
-                   queries_charged=ledger.total_queries, seed=cfg.seed, failed=tr_est.failed)
-    return SpectralSumReport(
-        algorithm="trace_inverse",
-        estimate=est,
-        exact=exact,
-        guarantee="relative",
-        guarantee_bound=bound,
-        parameters={
+    return _report(
+        "trace_inverse", cfg.seed, value, exact, "relative", bound, 1.0 - cfg.delta,
+        tr_est.failed, ledger,
+        {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "mu": mu, "kappa": kappa, "spectral_norm": norm,
             "delta_formula": delta_formula, "delta_used": delta_v,
@@ -465,7 +440,6 @@ def trace_inverse(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
             "degree": series.degree, "degree_used": series.degree_used,
             "ae_rounds": t, "reps": reps,
         },
-        ledger=ledger,
     )
 
 
@@ -513,24 +487,17 @@ def logdet_sve(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     per_round = oracle.cost_per_call
     ledger = CostLedger()
     ledger.charge(reps * t * per_round, sve_calls=reps * t, ae_rounds=reps * t)
-    est = Estimate(value=value, abs_error_bound=bound, success_prob=1.0 - cfg.delta,
-                   queries_charged=ledger.total_queries, seed=cfg.seed,
-                   failed=n_failed * 2 > reps)
-    return SpectralSumReport(
-        algorithm="logdet_sve",
-        estimate=est,
-        exact=exact,
-        guarantee="relative",
-        guarantee_bound=bound,
-        parameters={
+    return _report(
+        "logdet_sve", cfg.seed, value, exact, "relative", bound, 1.0 - cfg.delta,
+        n_failed * 2 > reps, ledger,
+        {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "mu": mu, "kappa": kappa, "kappa_eff": kappa_eff,
             "eps1": eps1, "eps2": eps2, "C": c_const,
             "C_formula": 1.0 / (kappa_eff * math.sqrt(log_k)),
             "ae_rounds": t, "reps": reps,
         },
-        ledger=ledger,
-        warnings=warnings,
+        warnings,
     )
 
 
@@ -571,22 +538,15 @@ def logdet_taylor(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     per_round = oracle.cost_per_call
     ledger = CostLedger()
     ledger.charge(reps * t * per_round, sve_calls=reps * t, ae_rounds=reps * t)
-    est = Estimate(value=value, abs_error_bound=bound, success_prob=1.0 - cfg.delta,
-                   queries_charged=ledger.total_queries, seed=cfg.seed,
-                   failed=n_failed * 2 > reps)
-    return SpectralSumReport(
-        algorithm="logdet_taylor",
-        estimate=est,
-        exact=exact,
-        guarantee="absolute",
-        guarantee_bound=bound,
-        parameters={
+    return _report(
+        "logdet_taylor", cfg.seed, value, exact, "absolute", bound, 1.0 - cfg.delta,
+        n_failed * 2 > reps, ledger,
+        {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "kappa": kappa, "kappa_eff": kappa_eff, "m": m,
             "eps1": eps1, "eps2": eps2, "truncation_bound": trunc,
             "ae_rounds": t, "reps": reps,
         },
-        ledger=ledger,
     )
 
 
@@ -625,22 +585,16 @@ def logdet_chebyshev(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     n_samp = math.ceil(2.0 * math.log(2.0 / cfg.delta) / eps1**2)
     ledger = CostLedger()
     ledger.charge(ht.queries_charged, be_uses=2 * n_samp)
-    est = Estimate(value=value, abs_error_bound=bound, success_prob=1.0 - cfg.delta,
-                   queries_charged=ledger.total_queries, seed=cfg.seed, failed=ht.failed)
-    return SpectralSumReport(
-        algorithm="logdet_chebyshev",
-        estimate=est,
-        exact=exact,
-        guarantee="absolute",
-        guarantee_bound=bound,
-        parameters={
+    return _report(
+        "logdet_chebyshev", cfg.seed, value, exact, "absolute", bound, 1.0 - cfg.delta,
+        ht.failed, ledger,
+        {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "kappa": kappa, "delta_margin": delta_c, "d": d,
             "eps1": eps1, "C": c_const, "truncation_per_n": trunc_per_n,
             "kappa_B": kappa_b, "per_state_cost": per_state,
             "samples": n_samp,
         },
-        ledger=ledger,
     )
 
 
@@ -678,22 +632,15 @@ def logdet_qmc(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     bound = n * cfg.eps
     ledger = CostLedger()
     ledger.charge(queries, sve_calls=queries / oracle.cost_per_call)
-    est = Estimate(value=value, abs_error_bound=bound, success_prob=1.0 - cfg.delta,
-                   queries_charged=ledger.total_queries, seed=cfg.seed,
-                   failed=n_failed * 2 > reps)
-    return SpectralSumReport(
-        algorithm="logdet_qmc",
-        estimate=est,
-        exact=exact,
-        guarantee="absolute",
-        guarantee_bound=bound,
-        parameters={
+    return _report(
+        "logdet_qmc", cfg.seed, value, exact, "absolute", bound, 1.0 - cfg.delta,
+        n_failed * 2 > reps, ledger,
+        {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "kappa": kappa, "kappa_eff": kappa_eff,
             "eps1_formula": eps1_formula, "eps1_used": eps1,
             "variance_bound": b_bound, "qmc_relative_eps": eps_rel, "reps": reps,
         },
-        ledger=ledger,
     )
 
 

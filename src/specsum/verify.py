@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .baselines import ProbeConfig, hutchinson_trace
-from .matrix_core import SymmetricMatrix, exact_spectral_sum, generate_spd
+from .matrix_core import SymmetricMatrix, generate_spd
 from .measurement import ae_error_bound, amplitude_estimate
 from .polyapprox import (
     approx_inverse,

@@ -154,6 +154,18 @@ class TestSweep:
         assert res.exit_code == 0, res.output
         assert len(out.read_text().strip().split("\n")) == 1 + 6
 
+    @pytest.mark.parametrize("axis, values, message", [
+        ("kappa", "0.5,10", "kappa must be >= 1"),
+        ("n", "1,8", "n must be >= 2"),
+    ])
+    def test_bad_generator_input_exits_two(self, tmp_path, runner, axis, values, message):
+        res = runner.invoke(main, ["sweep", "--n", "16", "--algorithm", "logdet_svt",
+                                   "--axis", axis, "--values", values,
+                                   "--out", str(tmp_path / "s.csv")])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert not (tmp_path / "s.csv").exists()
+
 
 @pytest.mark.parametrize("command", ["estimate", "sweep"])
 def test_certification_error_exits_two(matrix_prefix, runner, monkeypatch, command):

@@ -16,13 +16,12 @@ import pytest
 
 from specsum import matrix_core, spectral_sums
 from specsum.matrix_core import SymmetricMatrix, compute_mu, generate_spd
+from specsum.polyapprox import approx_log
 from specsum.qmodel import (
-    BlockEncoding,
+    apply_svt,
     polylog,
-    product_plain,
     product_preamplified,
     qram_block_encoding,
-    unit_block_encoding,
 )
 from specsum.spectral_sums import AlgoConfig, run_algorithm
 
@@ -222,49 +221,39 @@ class TestAgainstDenseReference:
             assert be.encoding_defect() <= be.eps
 
 
+def _log_series(A):
+    """A certified log series whose largest |value| on A/mu is at A's smallest eigenvalue."""
+    return approx_log(min(float(A.spectral.eigenvalues[-1]) / A.stats.mu, 0.5) / 2.0, 1e-2)
+
+
 class TestEncodingAlgebra:
     @pytest.mark.parametrize("mode", MODES)
-    def test_unit_encoding_defect_within_budget(self, mode):
+    def test_svt_draw_within_budget(self, mode):
         A = _INPUTS[16]["spd"]
-        be = unit_block_encoding(A, 1e-3, mode=mode, seed=7)
+        be = apply_svt(qram_block_encoding(A, mode, seed=7), _log_series(A), nu=1e-3)
+        assert be.eps == 1e-3
         assert be.encoding_defect() <= 1e-3
+        assert (be.encoding_defect() == 0.0) == (mode == "exact")
         assert np.linalg.norm(be.perturbation, 2) == pytest.approx(be.encoding_defect(),
                                                                    rel=1e-9, abs=1e-300)
         assert be.basis is A.spectral.eigenvectors
 
-    def test_adversarial_saturates_top_eigenvector(self):
+    def test_adversarial_draw_on_largest_value(self):
         A = _INPUTS[16]["spd"]
-        be = unit_block_encoding(A, 1e-3, mode="adversarial")
-        top = A.spectral.eigenvectors[:, 0]
+        series = _log_series(A)
+        be = apply_svt(qram_block_encoding(A, "adversarial"), series, nu=1e-3)
+        k = int(np.argmax(np.abs(be.payload_values)))
+        assert k == A.n - 1
+        top = A.spectral.eigenvectors[:, k]
         np.testing.assert_allclose(be.perturbation, 1e-3 * np.outer(top, top), atol=1e-18)
+        dense = dense_svt(dense_qram(A, "adversarial"), series, nu=1e-3)
+        np.testing.assert_allclose(be.perturbation, dense.perturbation, atol=1e-14)
 
     def test_products_require_a_shared_basis(self):
         be1 = qram_block_encoding(_INPUTS[16]["spd"])
         be2 = qram_block_encoding(_INPUTS[16]["density"])
-        for product in (product_plain, product_preamplified):
-            with pytest.raises(ValueError, match="eigenbasis"):
-                product(be1, be2)
-
-    def test_dense_payload_is_decomposed_once(self):
-        h = np.diag([0.25, 0.5, 1.0])
-        be = BlockEncoding(payload=h, alpha=1.0, ancillas=1, eps=0.0, use_cost=1.0,
-                           perturbation_mode="exact", seed=0)
-        np.testing.assert_allclose(be.payload, h, atol=1e-15)
-        assert sorted(be.payload_values) == [0.25, 0.5, 1.0]
-        assert not be.perturbation_values.any()
-
-    def test_needs_exactly_one_representation(self):
-        kw = dict(alpha=1.0, ancillas=1, eps=0.0, use_cost=1.0, perturbation_mode="exact",
-                  seed=0)
-        with pytest.raises(ValueError, match="either"):
-            BlockEncoding(**kw)
-        with pytest.raises(ValueError, match="either"):
-            BlockEncoding(payload=np.eye(2), basis=np.eye(2), **kw)
-
-    def test_dense_payload_must_be_symmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            BlockEncoding(payload=np.array([[0.5, 0.1], [0.0, 0.5]]), alpha=1.0, ancillas=1,
-                          eps=0.0, use_cost=1.0, perturbation_mode="exact", seed=0)
+        with pytest.raises(ValueError, match="eigenbasis"):
+            product_preamplified(be1, be2)
 
 
 def _full_grid_mu(A, grid_points):
@@ -282,22 +271,21 @@ def _full_grid_mu(A, grid_points):
 
 
 class TestMu:
-    @pytest.mark.parametrize("grid_points", [101, 51, 100, 2])
     @pytest.mark.parametrize("profile", ["log_uniform", "uniform", "clustered"])
-    def test_matches_full_grid(self, profile, grid_points):
+    def test_matches_full_grid(self, profile):
         for n in (2, 17, 64):
             for kappa in (1.0, 30.0, 1000.0):
                 A = generate_spd(n, kappa, profile, 0.5, n + int(kappa))
                 e = np.asarray(A.entries)
                 for M in (A, SymmetricMatrix(n, e / np.trace(e), spd_flag=True)):
-                    ref = _full_grid_mu(M, grid_points)
-                    assert abs(compute_mu(M, grid_points) - ref) <= 2 * np.spacing(ref)
+                    for grid_points in (51, 101):
+                        ref = _full_grid_mu(M, grid_points)
+                        assert abs(compute_mu(M) - ref) <= 2 * np.spacing(ref)
 
     @pytest.mark.parametrize("diag", [[0.5, 0.2, 0.1], [0.5, 0.5], list(np.linspace(0.01, 0.5, 9))])
     def test_at_least_spectral_norm_on_diagonal(self, diag):
         A = SymmetricMatrix(len(diag), np.diag(diag), spd_flag=True)
-        for grid_points in (101, 51, 100, 2):
-            assert compute_mu(A, grid_points) >= A.stats.spectral_norm
+        assert compute_mu(A) >= A.stats.spectral_norm
 
 
 class TestNoDenseWorkOnWarmMatrices:

@@ -7,13 +7,11 @@ import pytest
 
 from specsum.matrix_core import (
     SymmetricMatrix,
-    compute_mu,
     condition_number,
     exact_spectral_sum,
     generate_spd,
     load_matrix_market,
     save_matrix_market,
-    scale_to_contraction,
     spectral_decompose,
 )
 
@@ -175,18 +173,6 @@ class TestMuAndConditioning:
         A = generate_spd(32, 10.0, "log_uniform", 0.5, 9)
         assert A.stats.mu >= A.stats.spectral_norm - 1e-10
 
-    def test_mu_improves_on_nested_grids(self):
-        A = generate_spd(32, 10.0, "log_uniform", 0.5, 9)
-        coarse = compute_mu(A, grid_points=51)
-        fine = compute_mu(A, grid_points=101)
-        assert fine <= coarse + 1e-12
-
     def test_condition_number_diag(self):
         m = SymmetricMatrix(2, np.diag([0.5, 0.05]), spd_flag=True)
         assert condition_number(m) == pytest.approx(10.0)
-
-    def test_scale_to_contraction(self):
-        A = generate_spd(16, 5.0, "uniform", 1.0, 4)
-        B, factor = scale_to_contraction(A, 0.5)
-        assert B.stats.spectral_norm == pytest.approx(0.5)
-        assert factor == pytest.approx(2.0)

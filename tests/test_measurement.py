@@ -15,7 +15,6 @@ from specsum.measurement import (
     median_reps,
     qmc_mean_estimate,
     trace_estimate_abs,
-    trace_estimate_rel,
     trace_product_estimate,
 )
 from specsum.qmodel import qram_block_encoding
@@ -84,15 +83,6 @@ class TestTraceEstimates:
     def test_absolute_bound_scales_with_n(self):
         est = trace_estimate_abs(self.be, 1e-3)
         assert est.abs_error_bound <= self.be.n * (2e-3 + 1e-12)
-
-    def test_relative_requires_kappa_or_floor(self):
-        with pytest.raises(ValueError, match="tr_lower_bound"):
-            trace_estimate_rel(self.be, 0.1)
-
-    def test_relative_reduces_to_absolute(self):
-        est = trace_estimate_rel(self.be, 0.1, kappa=10.0)
-        true_tr = float(np.trace(self.A.entries))
-        assert abs(est.value - true_tr) <= est.abs_error_bound
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from specsum.polyapprox import (
     chebyshev_logdet_coeffs,
     chebyshev_logdet_setup,
     entropy_poly,
-    eval_series,
     taylor_logdet_degree,
 )
 
@@ -98,12 +97,7 @@ class TestDegreeScaling:
         assert slope <= 1.15
 
 
-class TestEvalSeries:
-    def test_matches_chebval(self):
-        s = approx_log(0.25, 1e-2)
-        x = np.linspace(-1, 1, 101)
-        assert np.allclose(eval_series(s, x), cheb.chebval(x, s.coefficients))
-
+class TestChebval:
     def test_clenshaw_recurrence_identity(self):
         x = np.linspace(-1, 1, 201)
         t = [np.ones_like(x), x]
@@ -113,11 +107,6 @@ class TestEvalSeries:
             unit = np.zeros(j + 1)
             unit[j] = 1.0
             assert np.allclose(cheb.chebval(x, unit), t[j], atol=1e-12)
-
-    def test_rejects_points_outside_interval(self):
-        s = approx_log(0.25, 1e-2)
-        with pytest.raises(ValueError, match="outside"):
-            eval_series(s, 1.5)
 
 
 class TestTaylorDegree:

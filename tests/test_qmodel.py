@@ -12,15 +12,12 @@ from specsum.qmodel import (
     CostLedger,
     SveOracle,
     apply_svt,
-    density_block_encoding,
     matrix_power,
     polylog,
-    product_plain,
     product_preamplified,
     qram_block_encoding,
     sve_all,
     sve_estimate,
-    unit_block_encoding,
 )
 
 
@@ -68,31 +65,24 @@ class TestEncodings:
         with pytest.raises(ValueError, match="<= 1"):
             qram_block_encoding(big)
 
-    def test_unit_encoding_perturbation_within_budget(self):
-        A = _contraction()
-        for mode in ("stochastic", "adversarial"):
-            be = unit_block_encoding(A, 1e-3, mode=mode, seed=5)
-            assert np.linalg.norm(be.perturbation, 2) <= 1e-3 + 1e-12
+    def test_vectors_are_read_only_and_noise_defaults_to_zero(self):
+        be = BlockEncoding(basis=np.eye(3), payload_values=[0.25, 0.5, 1.0], alpha=1.0,
+                           ancillas=1, eps=0.0, use_cost=1.0, perturbation_mode="exact",
+                           seed=0)
+        assert not be.perturbation_values.any()
+        assert not be.payload_values.flags.writeable
+        assert not be.perturbation_values.flags.writeable
+        np.testing.assert_array_equal(be.payload, np.diag([0.25, 0.5, 1.0]))
 
-    def test_unit_encoding_exact_mode_is_exact(self):
-        be = unit_block_encoding(_contraction(), 1e-3, mode="exact")
-        assert be.encoding_defect() == 0.0
-
-    def test_unit_encoding_requires_positive_eps(self):
-        with pytest.raises(ValueError, match="positive"):
-            unit_block_encoding(_contraction(), 0.0)
-
-    def test_density_requires_unit_trace(self):
-        with pytest.raises(ValueError, match="unit trace"):
-            density_block_encoding(_contraction())
-
-    def test_density_encoding(self):
-        A = _contraction()
-        rho = SymmetricMatrix(A.n, np.asarray(A.entries) / np.trace(A.entries),
-                              spd_flag=True)
-        be = density_block_encoding(rho)
-        assert be.alpha == 1.0
-        assert be.use_cost == 1.0
+    def test_rejects_size_mismatch_and_free_use(self):
+        kw = dict(basis=np.eye(3), payload_values=np.ones(3), alpha=1.0, ancillas=1,
+                  eps=0.0, perturbation_mode="exact", seed=0)
+        with pytest.raises(ValueError, match="disagree in size"):
+            BlockEncoding(**dict(kw, perturbation_values=np.zeros(2)), use_cost=1.0)
+        with pytest.raises(ValueError, match="disagree in size"):
+            BlockEncoding(**dict(kw, basis=np.eye(2)), use_cost=1.0)
+        with pytest.raises(ValueError, match="use_cost"):
+            BlockEncoding(**kw, use_cost=0.0)
 
 
 class TestApplySvt:
@@ -120,14 +110,6 @@ class TestApplySvt:
 
 
 class TestProducts:
-    def test_plain_product_algebra(self):
-        A = _contraction(seed=2)
-        be = qram_block_encoding(A)
-        out = product_plain(be, be)
-        assert out.alpha == pytest.approx(be.alpha**2)
-        assert np.allclose(out.target, np.asarray(A.entries) @ np.asarray(A.entries),
-                           atol=1e-12)
-
     def test_preamplified_product_halves(self):
         A = _contraction(seed=2)
         be = qram_block_encoding(A)
@@ -137,8 +119,9 @@ class TestProducts:
         assert np.allclose(out.payload, expected, atol=1e-12)
 
     def test_preamplified_requires_contractions(self):
-        big = BlockEncoding(payload=np.eye(2), alpha=2.0, ancillas=1, eps=0.0,
-                            use_cost=1.0, perturbation_mode="exact", seed=0)
+        big = BlockEncoding(basis=np.eye(2), payload_values=np.ones(2), alpha=2.0,
+                            ancillas=1, eps=0.0, use_cost=1.0, perturbation_mode="exact",
+                            seed=0)
         with pytest.raises(ValueError, match="contraction|<= 1"):
             product_preamplified(big, big)
 
@@ -146,9 +129,9 @@ class TestProducts:
 class TestMatrixPower:
     def _half_encoding(self):
         # I/kappa <= H <= I with H = diag spectrum, encoded exactly.
-        h = np.diag(np.linspace(0.25, 1.0, 8))
-        return BlockEncoding(payload=h, alpha=1.0, ancillas=2, eps=0.0,
-                             use_cost=1.0, perturbation_mode="exact", seed=0)
+        return BlockEncoding(basis=np.eye(8), payload_values=np.linspace(0.25, 1.0, 8),
+                             alpha=1.0, ancillas=2, eps=0.0, use_cost=1.0,
+                             perturbation_mode="exact", seed=0)
 
     def test_fractional_power_payload(self):
         be = self._half_encoding()
@@ -157,16 +140,16 @@ class TestMatrixPower:
         assert np.allclose(out.payload, expected, atol=1e-12)
 
     def test_rejects_noisy_input(self):
-        h = np.diag(np.linspace(0.25, 1.0, 8))
-        noisy = BlockEncoding(payload=h, alpha=1.0, ancillas=2, eps=1e-2,
-                              use_cost=1.0, perturbation_mode="exact", seed=0)
+        noisy = BlockEncoding(basis=np.eye(8), payload_values=np.linspace(0.25, 1.0, 8),
+                              alpha=1.0, ancillas=2, eps=1e-2, use_cost=1.0,
+                              perturbation_mode="exact", seed=0)
         with pytest.raises(ValueError, match="budget"):
             matrix_power(noisy, 0.5, 4.0, 1e-6)
 
     def test_rejects_out_of_range_spectrum(self):
-        h = np.diag(np.linspace(0.01, 1.0, 8))
-        be = BlockEncoding(payload=h, alpha=1.0, ancillas=2, eps=0.0,
-                           use_cost=1.0, perturbation_mode="exact", seed=0)
+        be = BlockEncoding(basis=np.eye(8), payload_values=np.linspace(0.01, 1.0, 8),
+                           alpha=1.0, ancillas=2, eps=0.0, use_cost=1.0,
+                           perturbation_mode="exact", seed=0)
         with pytest.raises(ValueError, match="kappa"):
             matrix_power(be, 0.5, 4.0, 1e-6)
 
