@@ -7,6 +7,7 @@ import pytest
 
 from specsum.baselines import (
     ProbeConfig,
+    _cheb_quadform,
     _probe,
     classical_entropy,
     classical_logdet_chebyshev,
@@ -23,6 +24,7 @@ from specsum.polyapprox import (
     chebyshev_logdet_setup,
     entropy_poly,
 )
+from specsum.spectral_sums import AlgoConfig, vn_entropy
 
 
 def _matrix(n=32, kappa=10.0, seed=1):
@@ -265,3 +267,63 @@ class TestBlockedProbes:
         assert seen == {(n,)}
         assert est.value == float(np.mean(vals))
         assert est.abs_error_bound == 3.0 * float(np.std(vals, ddof=1) / math.sqrt(600))
+
+
+class TestChebQuadform:
+    """Rademacher probes read a diagonal operator's trace exactly: z_i^2 = 1."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 6])
+    def test_diagonal_trace_is_exact(self, degree):
+        d = np.linspace(-0.9, 0.9, 7)
+        coeffs = np.random.default_rng(degree).standard_normal(degree + 1)
+        mean, stderr = _cheb_quadform(lambda V: d[:, None] * V, coeffs, d.size,
+                                      ProbeConfig(num_probes=5, seed=1))
+        assert mean == pytest.approx(float(np.sum(np.polynomial.chebyshev.chebval(d, coeffs))),
+                                     rel=1e-12, abs=1e-12)
+        assert stderr == pytest.approx(0.0, abs=1e-12)
+
+
+# The SPD baselines, with the contraction each requires: strict (||A|| < 1)
+# for the log-determinants, ||A|| <= 1 for the others.
+_SPD_ESTIMATORS = {name: _ESTIMATORS[name]
+                   for name in ("taylor", "chebyshev", "trace_inverse", "schatten")}
+_STRICT = {"taylor", "chebyshev"}
+
+
+class TestInputChecks:
+    """The baselines reject input with the quantum estimators' checks."""
+
+    @pytest.mark.parametrize("name", sorted(_SPD_ESTIMATORS))
+    def test_rejects_non_spd(self, name):
+        m = SymmetricMatrix(2, np.diag([0.5, -0.1]))
+        with pytest.raises(ValueError, match="SPD"):
+            _SPD_ESTIMATORS[name](m, 0.1, ProbeConfig(num_probes=4))
+
+    @pytest.mark.parametrize("name", sorted(_SPD_ESTIMATORS))
+    def test_rejects_expansion(self, name):
+        m = SymmetricMatrix(2, np.diag([1.5, 0.5]), spd_flag=True)
+        with pytest.raises(ValueError, match="\\|\\|A\\|\\|"):
+            _SPD_ESTIMATORS[name](m, 0.1, ProbeConfig(num_probes=4))
+
+    @pytest.mark.parametrize("name", sorted(_SPD_ESTIMATORS))
+    def test_unit_norm_only_where_not_strict(self, name):
+        m = SymmetricMatrix(2, np.diag([1.0, 0.5]), spd_flag=True)
+        cfg = ProbeConfig(num_probes=4)
+        if name in _STRICT:
+            with pytest.raises(ValueError, match=">= 1"):
+                _SPD_ESTIMATORS[name](m, 0.1, cfg)
+        else:
+            assert math.isfinite(_SPD_ESTIMATORS[name](m, 0.1, cfg).estimate.value)
+
+    @pytest.mark.parametrize("estimator", [
+        lambda rho: classical_entropy(rho, 0.2, ProbeConfig(num_probes=4)),
+        lambda rho: vn_entropy(rho, AlgoConfig(eps=0.2)),
+    ], ids=["classical_entropy", "vn_entropy"])
+    @pytest.mark.parametrize("diag, match", [
+        ([0.5, 0.25], "unit trace"),
+        ([0.75, 0.25, 0.0], "eigenvalue"),
+    ], ids=["trace", "singular"])
+    def test_density_checks_shared_with_quantum(self, estimator, diag, match):
+        rho = SymmetricMatrix(len(diag), np.diag(diag), spd_flag=True)
+        with pytest.raises(ValueError, match=match):
+            estimator(rho)

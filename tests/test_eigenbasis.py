@@ -271,15 +271,19 @@ def _full_grid_mu(A, grid_points):
 
 
 class TestMu:
+    @pytest.mark.parametrize("grid_points", [101, 51, 100, 2])
     @pytest.mark.parametrize("profile", ["log_uniform", "uniform", "clustered"])
-    def test_matches_full_grid(self, profile):
+    def test_matches_full_grid(self, profile, grid_points):
+        # p = 1/2 minimizes the candidate, so mu equals the minimum over any
+        # grid holding 1/2 and is no larger than the minimum over one without.
         for n in (2, 17, 64):
             for kappa in (1.0, 30.0, 1000.0):
                 A = generate_spd(n, kappa, profile, 0.5, n + int(kappa))
                 e = np.asarray(A.entries)
                 for M in (A, SymmetricMatrix(n, e / np.trace(e), spd_flag=True)):
-                    for grid_points in (51, 101):
-                        ref = _full_grid_mu(M, grid_points)
+                    ref = _full_grid_mu(M, grid_points)
+                    assert compute_mu(M) <= ref + 2 * np.spacing(ref)
+                    if grid_points % 2 == 1:
                         assert abs(compute_mu(M) - ref) <= 2 * np.spacing(ref)
 
     @pytest.mark.parametrize("diag", [[0.5, 0.2, 0.1], [0.5, 0.5], list(np.linspace(0.01, 0.5, 9))])

@@ -7,6 +7,7 @@ import pytest
 
 from specsum.matrix_core import (
     SymmetricMatrix,
+    compute_mu,
     condition_number,
     exact_spectral_sum,
     generate_spd,
@@ -172,6 +173,13 @@ class TestMuAndConditioning:
     def test_mu_at_least_spectral_norm(self):
         A = generate_spd(32, 10.0, "log_uniform", 0.5, 9)
         assert A.stats.mu >= A.stats.spectral_norm - 1e-10
+
+    def test_mu_is_largest_row_sum_or_frobenius(self):
+        A = generate_spd(32, 10.0, "log_uniform", 0.5, 9)
+        absA = np.abs(np.asarray(A.entries))
+        expected = min(float(np.linalg.norm(absA)), float(absA.sum(axis=1).max()))
+        assert A.stats.mu == pytest.approx(expected, rel=1e-14)
+        assert compute_mu(A) == A.stats.mu
 
     def test_condition_number_diag(self):
         m = SymmetricMatrix(2, np.diag([0.5, 0.05]), spd_flag=True)

@@ -1,5 +1,6 @@
 """Tests for the block-encoding emulation layer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -83,6 +84,31 @@ class TestEncodings:
             BlockEncoding(**dict(kw, basis=np.eye(2)), use_cost=1.0)
         with pytest.raises(ValueError, match="use_cost"):
             BlockEncoding(**kw, use_cost=0.0)
+
+    def test_is_frozen(self):
+        be = qram_block_encoding(_contraction())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            be.alpha = 2.0
+
+    def test_dense_views_share_the_basis(self):
+        Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        w = np.array([0.5, 0.25, -0.125, 0.0625])
+        dw = np.array([1e-3, 0.0, -2e-3, 0.0])
+        be = BlockEncoding(basis=Q, payload_values=w, perturbation_values=dw, alpha=2.0,
+                           ancillas=1, eps=4e-3, use_cost=1.0,
+                           perturbation_mode="stochastic", seed=0)
+        np.testing.assert_allclose(be.payload, Q @ np.diag(w) @ Q.T, atol=1e-15)
+        np.testing.assert_allclose(be.target, 2.0 * be.payload, atol=1e-15)
+        np.testing.assert_allclose(be.payload_effective, be.payload + be.perturbation,
+                                   atol=1e-15)
+        assert be.effective_trace() == pytest.approx(float(np.sum(w + dw)))
+
+    def test_encoding_defect_is_largest_perturbation_value(self):
+        be = BlockEncoding(basis=np.eye(3), payload_values=np.full(3, 0.5),
+                           perturbation_values=[1e-4, -3e-4, 2e-4], alpha=1.0,
+                           ancillas=1, eps=1e-3, use_cost=1.0,
+                           perturbation_mode="stochastic", seed=0)
+        assert be.encoding_defect() == pytest.approx(3e-4)
 
 
 class TestApplySvt:

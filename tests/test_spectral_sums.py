@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from specsum.matrix_core import SymmetricMatrix, exact_spectral_sum, generate_spd
+from specsum.qmodel import CostLedger
 from specsum.spectral_sums import (
     ALGORITHMS,
     AlgoConfig,
+    _report,
     logdet_chebyshev,
     logdet_edge_cases,
     logdet_qmc,
@@ -227,7 +229,24 @@ class TestRunAlgorithm:
             run_algorithm(_matrix(), AlgoConfig(algorithm="logdet_magic"))
 
 
-# Ledgers (be_uses, ae_rounds, total_queries) recorded before the series
+class TestReport:
+    def test_estimate_claims_the_bound_and_the_ledger_total(self):
+        ledger = CostLedger()
+        ledger.charge(12.5, be_uses=3)
+        rep = _report("logdet_svt", 7, 1.25, 1.0, "relative", 0.5, 0.9, False, ledger,
+                      {"eps": 0.1})
+        est = rep.estimate
+        assert (est.value, est.abs_error_bound, est.success_prob) == (1.25, 0.5, 0.9)
+        assert est.queries_charged == 12.5 and est.seed == 7 and not est.failed
+        assert rep.guarantee_bound == 0.5 and rep.ledger is ledger
+        assert rep.warnings == [] and rep.passed
+
+    def test_warnings_are_not_shared(self):
+        a = _report("x", 0, 0.0, None, "absolute", 1.0, 1.0, False, CostLedger(), {})
+        b = _report("x", 0, 0.0, None, "absolute", 1.0, 1.0, False, CostLedger(), {})
+        a.warnings.append("w")
+        assert b.warnings == []
+
 # were chopped to their certified degree: the ledger charges the formula
 # degree, so these stay fixed.  sve_calls is 0 throughout.
 _LEDGER_PINS = {
