@@ -31,6 +31,7 @@ from .matrix_core import (
     generate_spd,
     load_matrix_market,
     save_matrix_market,
+    unit_trace,
 )
 from .polyapprox import CertificationError
 from .reporting import canonical_json, csv_header, csv_row, report_json
@@ -172,12 +173,17 @@ def estimate(matrix_path, algorithm, eps, delta, mode, seed, p,
 def sweep(n, kappa, profile, norm, matrix_seed, algorithm, axis, values,
           seeds, eps, delta, mode, p, out):
     """Sweep one axis, write a CSV, and print a log-log slope fit."""
+    raw = [v.strip() for v in values.split(",") if v.strip()]
     try:
-        vals = [float(v) for v in values.split(",") if v.strip()]
+        vals = [float(v) for v in raw]
     except ValueError as exc:
         raise click.UsageError(f"bad axis values: {exc}")
     if not vals:
         raise click.UsageError("empty axis value list")
+    if axis in ("n", "p"):
+        for text, v in zip(raw, vals):
+            if not v.is_integer():
+                raise click.UsageError(f"--axis {axis} takes integer values, got {text!r}")
     if seeds < 1:
         raise click.UsageError("seeds must be >= 1")
 
@@ -189,7 +195,8 @@ def sweep(n, kappa, profile, norm, matrix_seed, algorithm, axis, values,
         kk = value if axis == "kappa" else kappa
         key = (nn, kk)
         if key not in matrices:
-            matrices[key] = generate_spd(nn, kk, _PROFILES[profile], norm, matrix_seed)
+            A = generate_spd(nn, kk, _PROFILES[profile], norm, matrix_seed)
+            matrices[key] = unit_trace(A) if algorithm == "vn_entropy" else A
         return matrices[key]
 
     def run_cell(cell):

@@ -24,6 +24,7 @@ __all__ = [
     "load_matrix_market",
     "save_matrix_market",
     "generate_spd",
+    "unit_trace",
     "spectral_decompose",
     "compute_mu",
     "compute_stats",
@@ -204,6 +205,12 @@ def generate_spd(n: int, kappa: float, profile: str, norm_cap: float, seed: int)
     a = (q * eigs) @ q.T
     m = SymmetricMatrix(n=n, entries=a, spd_flag=True)
     return m
+
+
+def unit_trace(A: SymmetricMatrix) -> SymmetricMatrix:
+    """The density matrix A / Tr A of an SPD matrix, as vn_entropy requires."""
+    m = np.asarray(A.entries)
+    return SymmetricMatrix(A.n, m / np.trace(m), spd_flag=True)
 
 
 def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,6 +21,14 @@ most 1/cos(pi d / 2M).  The error carries the same factor.  The
 smoothing width of each surrogate is the widest whose own error stays
 within a tenth of eps, leaving the rest to the chop.
 
+A certification builds the grid, and the true target on it, once per M
+and keeps only the latest; the candidates of one chop revisit few M.
+Each candidate is first evaluated at the interval's two end points, in
+closed form: if that error alone, with the grid margin, exceeds eps,
+the candidate fails without its DCT, which is the decision the full
+error would give.  Values that reach a series are computed by the same
+floating-point operations as without the reuse and the screen.
+
 A series carries two degrees.  ``degree_used`` is the degree of the
 stored coefficients, which sets the cost of evaluating it; ``degree`` is
 the degree a quantum-model ledger charges, the formula degree unless
@@ -109,7 +117,25 @@ class ChebyshevSeries:
         return len(self.coefficients) - 1
 
     def __call__(self, x):
-        return _cheb.chebval(x, self.coefficients)
+        """P(x) by numpy's chebval Clenshaw recurrence, operation for
+        operation, so the values are bitwise equal; the loop writes into
+        three reused buffers instead of allocating two arrays per degree."""
+        c = self.coefficients
+        x = np.asarray(x, dtype=float)
+        if len(c) == 1:
+            return c[0] + 0 * x
+        if len(c) == 2:
+            return c[0] + c[1] * x
+        x2 = 2 * x
+        c0 = np.full(x.shape, c[-2])
+        c1 = np.full(x.shape, c[-1])
+        t = np.empty(x.shape)
+        for ck in c[-3::-1]:
+            np.multiply(c1, x2, out=t)
+            np.subtract(ck, c1, out=c1)
+            np.add(c0, t, out=t)
+            c0, c1, t = c1, t, c0
+        return c0 + c1 * x
 
     def to_json(self) -> str:
         """Serialize degrees, coefficients (zero-padded to degree + 1), and
@@ -140,38 +166,75 @@ def _project(f, degree: int) -> np.ndarray:
     return c
 
 
-def _measure(c: np.ndarray, target, interval: tuple, degree: int = 0) -> tuple:
-    """Sup error against target on interval, and a bound on sup |P| on [-1, 1].
+class _Grid:
+    """The true target on the certification grids of one interval.
 
-    P = sum c_k T_k is evaluated by one DCT-I on the extrema
-    cos(pi j / M), j = 0..M, with M the smallest power of two at least
-    16 (d + 1), d = max(degree, deg P).  M is a power of two so that the
-    FFT behind the DCT keeps to a few plan sizes.  The error is the
-    maximum of |P - target| over the grid points in the interval and its
-    end points, times 1/cos(pi/32): a bound for the sup when P - target
-    is a polynomial of degree at most d, and for a smooth target a
-    margin for the chopped terms that dominate P - target between grid
-    points.  The global bound is the smaller of the grid maximum of |P|
-    times 1/cos(pi/32) and sum |c_k|, both bounds on sup |P|.
+    A certification measures about seven candidate chops, and its
+    bisection revisits the same grid size M, so the extrema
+    cos(pi j / M), the mask of those inside the interval and the target
+    there are built once per M.  Only the latest M is kept, which bounds
+    the memory by one grid.  The end points' arccos and target values
+    do not depend on M and are built once.
     """
-    d = max(degree, len(c) - 1)
-    m = 1 << (_OVERSAMPLE * (d + 1) - 1).bit_length()
-    v = np.zeros(m + 1)
-    v[: len(c)] = c
-    v[1:m] *= 0.5
-    p = dct(v, type=1)
-    x = np.cos(np.arange(m + 1) * (np.pi / m))
-    a, b = interval
-    inside = (x > a) & (x < b)
-    ends = np.array([a, b], dtype=float)
-    # T_k(x) = cos(k arccos x): one vectorised pass instead of Clenshaw.
-    p_ends = np.cos(np.outer(np.arccos(ends), np.arange(len(c)))) @ c
-    err = _GRID_MARGIN * max(
-        float(np.max(np.abs(p[inside] - target(x[inside])), initial=0.0)),
-        float(np.max(np.abs(p_ends - target(ends)))),
-    )
-    gbound = min(_GRID_MARGIN * float(np.max(np.abs(p))), float(np.sum(np.abs(c))))
-    return err, gbound
+
+    def __init__(self, target, interval: tuple):
+        self.target = target
+        self.a, self.b = interval
+        ends = np.array([self.a, self.b], dtype=float)
+        self.end_angles = np.arccos(ends)
+        self.end_values = target(ends)
+        self.m = 0
+
+    def _nodes(self, m: int) -> tuple:
+        if m != self.m:
+            x = np.cos(np.arange(m + 1) * (np.pi / m))
+            self.inside = (x > self.a) & (x < self.b)
+            self.values = self.target(x[self.inside])
+            self.m = m
+        return self.inside, self.values
+
+    def end_error(self, c: np.ndarray) -> float:
+        """max |P - target| at the interval's two end points."""
+        # T_k(x) = cos(k arccos x): one vectorised pass instead of Clenshaw.
+        p_ends = np.cos(np.outer(self.end_angles, np.arange(len(c)))) @ c
+        return float(np.max(np.abs(p_ends - self.end_values)))
+
+    def measure(self, c: np.ndarray, end_err: float | None = None, degree: int = 0) -> tuple:
+        """Sup error against the target, and a bound on sup |P| on [-1, 1].
+
+        P = sum c_k T_k is evaluated by one DCT-I on the extrema
+        cos(pi j / M), j = 0..M, with M the smallest power of two at
+        least 16 (d + 1), d = max(degree, deg P).  M is a power of two
+        so that the FFT behind the DCT keeps to a few plan sizes.  The
+        error is the maximum of |P - target| over the grid points in the
+        interval and its end points (end_err, if already computed),
+        times 1/cos(pi/32): a bound for the sup when P - target is a
+        polynomial of degree at most d, and for a smooth target a margin
+        for the chopped terms that dominate P - target between grid
+        points.  The global bound is the smaller of the grid maximum of
+        |P| times 1/cos(pi/32) and sum |c_k|, both bounds on sup |P|.
+        """
+        d = max(degree, len(c) - 1)
+        m = 1 << (_OVERSAMPLE * (d + 1) - 1).bit_length()
+        v = np.zeros(m + 1)
+        v[: len(c)] = c
+        v[1 : len(c)] *= 0.5  # the rest of v[1:m] is zero, and m > len(c)
+        p = dct(v, type=1, overwrite_x=True)
+        inside, values = self._nodes(m)
+        dev = p[inside]
+        dev -= values
+        np.abs(dev, out=dev)
+        if end_err is None:
+            end_err = self.end_error(c)
+        err = _GRID_MARGIN * max(float(np.max(dev, initial=0.0)), end_err)
+        p_max = max(float(np.max(p)), -float(np.min(p)))
+        gbound = min(_GRID_MARGIN * p_max, float(np.sum(np.abs(c))))
+        return err, gbound
+
+
+def _measure(c: np.ndarray, target, interval: tuple, degree: int = 0) -> tuple:
+    """One measurement of c against target on interval; see _Grid.measure."""
+    return _Grid(target, interval).measure(c, degree=degree)
 
 
 def _certify(
@@ -193,10 +256,12 @@ def _certify(
     certifies, walks down by 1.25 until a degree fails, and bisects to
     the lowest certified degree (within 1%).  A candidate certifies when
     its sup error against target is at most eps and its global bound at
-    most 1/2.  The charged degree is the larger of degree0 and the
-    certified one.
+    most 1/2.  One whose end-point error alone, times the grid margin,
+    exceeds eps fails before its DCT: the full error is at least that.
+    The charged degree is the larger of degree0 and the certified one.
     """
     a, b = interval
+    grid = _Grid(target, interval)
     degree0 = max(4, int(degree0))
     cap = _CAP_FACTOR * degree0
     d_top = degree0
@@ -206,7 +271,11 @@ def _certify(
             c[0::2] = 0.0
 
         def attempt(d):
-            err, gbound = _measure(c[: d + 1], target, interval)
+            chop = c[: d + 1]
+            end_err = grid.end_error(chop)
+            if _GRID_MARGIN * end_err > eps:
+                return None
+            err, gbound = grid.measure(chop, end_err)
             return (d, err, gbound) if err <= eps and gbound <= 0.5 else None
 
         tail = np.append(np.cumsum(np.abs(c[:0:-1]))[::-1], 0.0)  # tail[d] = sum_{k>d} |c_k|
@@ -240,7 +309,7 @@ def _certify(
                 global_bound=gbound,
             )
         if d_top >= cap:
-            err, gbound = _measure(c, target, interval)
+            err, gbound = grid.measure(c)
             raise CertificationError(
                 f"could not certify {label} within degree cap {cap}: "
                 f"sup_err={err:.3e} (want <= {eps:.3e}), "

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .matrix_core import SymmetricMatrix, SpectralData
 from .polyapprox import ChebyshevSeries
@@ -262,8 +261,7 @@ def apply_svt(be: BlockEncoding, p: ChebyshevSeries, nu: float = 1e-12) -> Block
         raise ValueError("SVT polynomial must satisfy |P| <= 1/2 on [-1, 1]")
     d = p.degree
     # One Clenshaw pass over both rows: its cost is per degree, not per point.
-    exact, effective = _cheb.chebval(
-        np.clip(np.stack([be.payload_values, be.effective_values]), -1, 1), p.coefficients)
+    exact, effective = p(np.clip(np.stack([be.payload_values, be.effective_values]), -1, 1))
     new_seed = (be.seed * 1000003 + 1) & 0x7FFFFFFF
     extra = _draw_perturbation(exact, nu, be.perturbation_mode, new_seed)
     eps_out = 4 * d * math.sqrt(max(be.eps, 0.0) / be.alpha) + nu

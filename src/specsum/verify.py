@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .baselines import ProbeConfig, hutchinson_trace
-from .matrix_core import SymmetricMatrix, generate_spd
+from .matrix_core import SymmetricMatrix, generate_spd, unit_trace
 from .measurement import ae_error_bound, amplitude_estimate
 from .polyapprox import (
     approx_inverse,
@@ -75,11 +75,6 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{self.name}: {status} — {self.detail}"
-
-
-def _density(A: SymmetricMatrix) -> SymmetricMatrix:
-    m = np.asarray(A.entries)
-    return SymmetricMatrix(A.n, m / np.trace(m), spd_flag=True)
 
 
 def _fit_slope(xs, qs) -> float:
@@ -165,7 +160,7 @@ def _soundness_runs(mode: str, count: int, delta: float):
         for algo in _SOUND_ALGOS:
             cfg = AlgoConfig(eps=0.1, delta=delta, mode=mode, seed=2000 + i,
                              algorithm=algo, p=1 + i % 4)
-            target = _density(A) if algo == "vn_entropy" else A
+            target = unit_trace(A) if algo == "vn_entropy" else A
             yield algo, run_algorithm(target, cfg)
 
 
@@ -219,7 +214,7 @@ def _sweep_queries(algo: str, A, eps_values, kappa=None) -> list:
     qs = []
     for e in eps_values:
         cfg = AlgoConfig(eps=e, mode="exact", seed=3, algorithm=algo, p=4)
-        target = _density(A) if algo == "vn_entropy" else A
+        target = unit_trace(A) if algo == "vn_entropy" else A
         qs.append(run_algorithm(target, cfg).ledger.total_queries)
     return qs
 

@@ -167,6 +167,31 @@ class TestSweep:
         assert not (tmp_path / "s.csv").exists()
 
 
+    @pytest.mark.parametrize("algorithm, axis, values, bad", [
+        ("schatten_p", "p", "2.5,3", "2.5"),
+        ("logdet_svt", "n", "16, 8.7", "8.7"),
+    ])
+    def test_non_integer_n_or_p_exits_two(self, tmp_path, runner, algorithm, axis, values,
+                                          bad):
+        res = runner.invoke(main, ["sweep", "--n", "16", "--algorithm", algorithm,
+                                   "--axis", axis, "--values", values,
+                                   "--out", str(tmp_path / "s.csv")])
+        assert res.exit_code == 2, res.output
+        assert f"got '{bad}'" in res.output
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_vn_entropy_sweeps_unit_trace_matrices(self, tmp_path, runner):
+        out = tmp_path / "s.csv"
+        res = runner.invoke(main, ["sweep", "--n", "16", "--algorithm", "vn_entropy",
+                                   "--axis", "eps", "--values", "0.1,0.05",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        header, *rows = [line.split(",") for line in out.read_text().strip().split("\n")]
+        assert len(rows) == 2
+        assert all(row[header.index("algorithm")] == "vn_entropy" for row in rows)
+        assert all(row[header.index("passed")] == "true" for row in rows)
+
+
 @pytest.mark.parametrize("command", ["estimate", "sweep"])
 def test_certification_error_exits_two(matrix_prefix, runner, monkeypatch, command):
     def uncertifiable(A, cfg):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
+from scipy.fft import dct
 
 from specsum import polyapprox
 from specsum.polyapprox import (
@@ -107,6 +108,19 @@ class TestChebval:
             unit = np.zeros(j + 1)
             unit[j] = 1.0
             assert np.allclose(cheb.chebval(x, unit), t[j], atol=1e-12)
+
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 2999])
+    def test_series_call_is_chebval_bitwise(self, degree):
+        rng = np.random.default_rng(degree)
+        c = rng.standard_normal(degree + 1) / (1.0 + np.arange(degree + 1))
+        s = ChebyshevSeries(degree=degree, coefficients=c, target="t",
+                            certified_sup_error=0.0, certified_on=(-1.0, 1.0),
+                            global_bound=0.5)
+        for x in (0.3, -1.0, rng.uniform(-1, 1, 257), rng.uniform(-1, 1, (2, 300))):
+            got = s(x)
+            assert np.shape(got) == np.shape(x)
+            assert np.array_equal(got, cheb.chebval(x, c))
 
 
 class TestTaylorDegree:
@@ -248,3 +262,153 @@ class TestChoppedSeries:
         assert approx_log.cache_info().hits == hits + 1
         assert len(certified) == 1
         assert np.array_equal(ent.coefficients, -cheb.chebmul([0.0, 1.0], shared.coefficients))
+
+
+# The certifier before grid reuse and the end-point screen: one fresh grid,
+# target and DCT-I per candidate.  Kept as the reference the faster
+# certifier must match byte for byte.
+def _ref_measure(c, target, interval, degree=0):
+    d = max(degree, len(c) - 1)
+    m = 1 << (polyapprox._OVERSAMPLE * (d + 1) - 1).bit_length()
+    v = np.zeros(m + 1)
+    v[: len(c)] = c
+    v[1:m] *= 0.5
+    p = dct(v, type=1)
+    x = np.cos(np.arange(m + 1) * (np.pi / m))
+    a, b = interval
+    inside = (x > a) & (x < b)
+    ends = np.array([a, b], dtype=float)
+    p_ends = np.cos(np.outer(np.arccos(ends), np.arange(len(c)))) @ c
+    err = polyapprox._GRID_MARGIN * max(
+        float(np.max(np.abs(p[inside] - target(x[inside])), initial=0.0)),
+        float(np.max(np.abs(p_ends - target(ends)))),
+    )
+    gbound = min(polyapprox._GRID_MARGIN * float(np.max(np.abs(p))),
+                 float(np.sum(np.abs(c))))
+    return err, gbound
+
+
+def _ref_certify(f, target, interval, eps, degree0, label, odd=False):
+    a, b = interval
+    degree0 = max(4, int(degree0))
+    cap = polyapprox._CAP_FACTOR * degree0
+    d_top = degree0
+    while True:
+        c = polyapprox._project(f, d_top)
+        if odd:
+            c[0::2] = 0.0
+
+        def attempt(d):
+            err, gbound = polyapprox._measure(c[: d + 1], target, interval)
+            return (d, err, gbound) if err <= eps and gbound <= 0.5 else None
+
+        tail = np.append(np.cumsum(np.abs(c[:0:-1]))[::-1], 0.0)
+        lo, hi = 0, max(1, int(np.argmax(tail <= 0.9 * eps)))
+        best = attempt(hi)
+        while best is None and hi < d_top:
+            lo, hi = hi, min(d_top, math.ceil(hi * polyapprox._ESCALATION))
+            best = attempt(hi)
+        if best is not None:
+            while lo == 0 and hi > 1:
+                d = max(1, int(hi / polyapprox._ESCALATION))
+                cand = attempt(d)
+                if cand is None:
+                    lo = d
+                else:
+                    hi, best = d, cand
+            while hi - lo > max(1, hi // 100):
+                mid = (lo + hi) // 2
+                cand = attempt(mid)
+                if cand is None:
+                    lo = mid
+                else:
+                    hi, best = mid, cand
+            d, err, gbound = best
+            return ChebyshevSeries(degree=max(degree0, d), coefficients=c[: d + 1],
+                                   target=label, certified_sup_error=err,
+                                   certified_on=(float(a), float(b)), global_bound=gbound)
+        if d_top >= cap:
+            err, gbound = polyapprox._measure(c, target, interval)
+            raise CertificationError(
+                f"could not certify {label} within degree cap {cap}: "
+                f"sup_err={err:.3e} (want <= {eps:.3e}), "
+                f"global={gbound:.3f} (want <= 0.5)"
+            )
+        d_top = min(cap, math.ceil(d_top * polyapprox._ESCALATION))
+
+
+_BUILDERS = (approx_log, approx_inverse, approx_sqrt, entropy_poly, approx_monomial)
+
+
+def _clear_caches():
+    for build in _BUILDERS:
+        build.cache_clear()
+
+
+# (beta, eps) cells: the sqrt cells at 1e-6 escalate the projection degree,
+# and sqrt at (0.5, 1e-10) exhausts the degree cap.
+_CELLS = [(0.5, 0.1), (0.25, 1e-2), (0.1, 1e-3), (1 / 32, 1e-4), (0.0566, 0.00317),
+          (0.1682, 0.00317), (0.0743, 0.00632), (0.5, 1e-6), (0.1, 1e-6), (0.5, 1e-10)]
+
+
+def _build_all():
+    out = []
+    for beta, eps in _CELLS:
+        for build in (approx_log, approx_inverse, approx_sqrt, entropy_poly):
+            try:
+                out.append(build(beta, eps).to_json())
+            except CertificationError as exc:
+                out.append(str(exc))
+    out += [approx_monomial(s, d).to_json() for s in (1, 2, 7, 30) for d in (1, 3, 12, 40)]
+    return out
+
+
+class TestSameBytesAsReference:
+    def test_every_builder_matches_reference_certifier(self, monkeypatch):
+        _clear_caches()
+        with monkeypatch.context() as m:
+            m.setattr(polyapprox, "_certify", _ref_certify)
+            m.setattr(polyapprox, "_measure", _ref_measure)
+            expected = _build_all()
+        _clear_caches()
+        got = _build_all()
+        _clear_caches()
+        assert any(text.startswith("could not certify") for text in got)
+        assert got == expected
+
+    @pytest.mark.parametrize("build, beta, eps, attempts, transforms", [
+        (approx_log, 0.0566, 0.00317, 7, 4),
+        (approx_inverse, 0.1682, 0.00317, 6, 4),
+        (approx_sqrt, 0.0743, 0.00632, 4, 2),
+    ])
+    def test_end_point_screen_skips_transforms(self, monkeypatch, build, beta, eps,
+                                               attempts, transforms):
+        """Candidates whose end-point error alone fails get no DCT-I.
+
+        Each cell has a candidate whose end-point error lies within eps but
+        above eps over the grid margin, so the margin is part of the count.
+        """
+        ref_calls, dct_calls = [], []
+
+        def ref_counting(*args, **kwargs):
+            ref_calls.append(1)
+            return _ref_measure(*args, **kwargs)
+
+        real_dct = polyapprox.dct
+
+        def dct_counting(x, type=2, **kwargs):
+            dct_calls.append(type)
+            return real_dct(x, type=type, **kwargs)
+
+        _clear_caches()
+        with monkeypatch.context() as m:
+            m.setattr(polyapprox, "_certify", _ref_certify)
+            m.setattr(polyapprox, "_measure", ref_counting)
+            expected = build(beta, eps).to_json()
+        _clear_caches()
+        monkeypatch.setattr(polyapprox, "dct", dct_counting)
+        got = build(beta, eps).to_json()
+        _clear_caches()
+        assert got == expected
+        assert len(ref_calls) == attempts
+        assert dct_calls.count(1) == transforms
