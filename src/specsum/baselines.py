@@ -9,9 +9,12 @@ head-to-head with the quantum-model estimators' query ledgers.
 
 The recurrences run on n x k blocks of probes, so each step is one
 matrix-matrix product over the block rather than k matvecs; the ledger
-still charges every probe's matvecs one by one.  Probes are drawn from
-independent counter-based streams, so results are deterministic given
-the seed and independent of evaluation order and block size.
+still charges every probe's matvecs one by one.  Probe i is drawn from
+the counter-based stream (seed, 29, i), so results are deterministic
+given the seed and independent of evaluation order and block size.
+`_probe` is the one per-probe definition and draws Gaussian probes; a
+block of Rademacher probes comes from `rng.rademacher_block` in one
+vectorised pass, equal bit for bit to stacking `_probe` over the block.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .polyapprox import (
     taylor_logdet_degree,
 )
 from .qmodel import CostLedger
-from .rng import stream
+from .rng import rademacher_block, stream
 from .spectral_sums import (
     SpectralSumReport,
     _report,
@@ -113,8 +116,11 @@ def _quadform_samples(qform, n: int, cfg: ProbeConfig) -> tuple[float, float]:
     blocks = []
     for start in range(0, cfg.num_probes, _PROBE_BLOCK):
         stop = min(start + _PROBE_BLOCK, cfg.num_probes)
-        Z = np.stack([_probe(n, cfg.probe_kind, cfg.seed, i) for i in range(start, stop)],
-                     axis=1)
+        if cfg.probe_kind == "rademacher":
+            Z = rademacher_block(n, cfg.seed, _PROBE_STREAM, start, stop)
+        else:
+            Z = np.stack([_probe(n, cfg.probe_kind, cfg.seed, i) for i in range(start, stop)],
+                         axis=1)
         blocks.append(qform(Z))
     vals = np.concatenate(blocks)
     mean = float(np.mean(vals))

@@ -173,6 +173,9 @@ def estimate(matrix_path, algorithm, eps, delta, mode, seed, p,
 def sweep(n, kappa, profile, norm, matrix_seed, algorithm, axis, values,
           seeds, eps, delta, mode, p, out):
     """Sweep one axis, write a CSV, and print a log-log slope fit."""
+    if axis == "p" and algorithm != "schatten_p":
+        raise click.UsageError(f"--axis p sweeps the Schatten order, which {algorithm} "
+                               "does not read; use --algorithm schatten_p")
     raw = [v.strip() for v in values.split(",") if v.strip()]
     try:
         vals = [float(v) for v in raw]

@@ -180,6 +180,15 @@ class TestSweep:
         assert f"got '{bad}'" in res.output
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("algorithm", ["logdet_svt", "vn_entropy", "logdet_edge_cases"])
+    def test_p_axis_only_for_schatten_p(self, tmp_path, runner, algorithm):
+        res = runner.invoke(main, ["sweep", "--n", "16", "--algorithm", algorithm,
+                                   "--axis", "p", "--values", "2,3",
+                                   "--out", str(tmp_path / "s.csv")])
+        assert res.exit_code == 2, res.output
+        assert f"which {algorithm} does not read" in res.output
+        assert not (tmp_path / "s.csv").exists()
+
     def test_vn_entropy_sweeps_unit_trace_matrices(self, tmp_path, runner):
         out = tmp_path / "s.csv"
         res = runner.invoke(main, ["sweep", "--n", "16", "--algorithm", "vn_entropy",
