@@ -57,7 +57,7 @@ def _load_spd(path) -> SymmetricMatrix:
     A = load_matrix_market(path)
     spd = bool(A.spectral.eigenvalues[-1] > 0)
     # The cache (spectral data and stats) does not depend on spd_flag, so
-    # the flagged matrix keeps it and the eigendecomposition runs once.
+    # the flagged matrix keeps it and the eigenvalue solve runs once.
     return dataclasses.replace(A, spd_flag=spd)
 
 

@@ -1,9 +1,9 @@
 """Dense symmetric matrices, spectra, norms, and synthetic SPD generation.
 
 Provides the matrix representation shared by every estimator, the exact
-eigendecomposition oracle used as ground truth, the encoding
-normalization mu(A), condition-number-controlled SPD test matrices, and
-Matrix Market I/O.
+eigenvalue oracle used as ground truth, the encoding normalization
+mu(A), condition-number-controlled SPD test matrices, and Matrix Market
+I/O.  No pipeline reads an eigenvector, so none is computed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "save_matrix_market",
     "generate_spd",
     "unit_trace",
+    "with_spectrum",
     "spectral_decompose",
     "compute_mu",
     "compute_stats",
@@ -39,7 +40,7 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SymmetricMatrix:
-    """Dense real symmetric matrix with a lazily cached eigendecomposition.
+    """Dense real symmetric matrix with a lazily cached spectrum.
 
     Attributes:
         n: Dimension.
@@ -70,7 +71,7 @@ class SymmetricMatrix:
 
     @property
     def spectral(self) -> "SpectralData":
-        """Cached spectral decomposition of this matrix."""
+        """Cached eigenvalues of this matrix."""
         if "spectral" not in self._cache:
             self._cache["spectral"] = spectral_decompose(self)
         return self._cache["spectral"]
@@ -85,17 +86,14 @@ class SymmetricMatrix:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendecomposition of a symmetric matrix.
+    """Spectrum of a symmetric matrix, without its eigenvectors.
 
     Attributes:
-        eigenvalues: n reals sorted descending.
-        eigenvectors: (n, n) orthogonal matrix whose columns match
-            eigenvalues.
-        singular_values: |eigenvalues| sorted descending.
+        eigenvalues: n reals sorted descending, read-only.
+        singular_values: |eigenvalues| sorted descending, read-only.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     singular_values: np.ndarray
 
 
@@ -208,9 +206,31 @@ def generate_spd(n: int, kappa: float, profile: str, norm_cap: float, seed: int)
 
 
 def unit_trace(A: SymmetricMatrix) -> SymmetricMatrix:
-    """The density matrix A / Tr A of an SPD matrix, as vn_entropy requires."""
+    """The density matrix A / Tr A of an SPD matrix, as vn_entropy requires.
+
+    Its spectrum is A's divided by Tr A, so no new decomposition runs.
+    """
     m = np.asarray(A.entries)
-    return SymmetricMatrix(A.n, m / np.trace(m), spd_flag=True)
+    tr = np.trace(m)
+    return with_spectrum(m / tr, A.spectral.eigenvalues / tr, spd_flag=True)
+
+
+def with_spectrum(entries: np.ndarray, eigenvalues: np.ndarray,
+                  spd_flag: bool = False) -> SymmetricMatrix:
+    """A SymmetricMatrix whose eigenvalues are already known.
+
+    For matrices derived from one whose spectrum is cached (a rescaling,
+    a deflation), so they skip the O(n^3) decomposition; the statistics,
+    mu included, still come from the entries.
+
+    Args:
+        entries: (n, n) symmetric entries.
+        eigenvalues: The n eigenvalues of ``entries``, sorted descending.
+        spd_flag: Whether positive-definiteness is asserted.
+    """
+    M = SymmetricMatrix(len(eigenvalues), entries, spd_flag=spd_flag)
+    M._cache["spectral"] = _spectral_data(eigenvalues)
+    return M
 
 
 def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -221,34 +241,24 @@ def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def spectral_decompose(A: SymmetricMatrix) -> SpectralData:
-    """Eigendecompose a symmetric matrix with eigenvalues sorted descending.
-
-    Returns:
-        SpectralData; eigenvector columns are orthonormal and
-        reconstruct A to high accuracy.
+    """Eigenvalues of a symmetric matrix (``eigvalsh``), sorted descending.
 
     Raises:
         np.linalg.LinAlgError: If the eigensolver fails to converge.
     """
-    w, v = np.linalg.eigh(np.asarray(A.entries))
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    v = v[:, order]
+    return _spectral_data(np.linalg.eigvalsh(np.asarray(A.entries))[::-1])
+
+
+def _spectral_data(eigenvalues) -> SpectralData:
+    """Read-only SpectralData holding a copy of descending eigenvalues."""
+    w = np.array(eigenvalues, dtype=float)
     w.setflags(write=False)
-    v.setflags(write=False)
     sv = np.sort(np.abs(w))[::-1]
     sv.setflags(write=False)
-    return SpectralData(eigenvalues=w, eigenvectors=v, singular_values=sv)
+    return SpectralData(eigenvalues=w, singular_values=sv)
 
 
-def _row_power_sum_max(absA: np.ndarray, p: float) -> float:
-    """s_p(A) = max_i sum_j |a_ij|^p, with 0^0 treated as 0."""
-    with np.errstate(divide="ignore"):
-        powd = np.where(absA > 0, absA**p, 0.0)
-    return float(np.max(np.sum(powd, axis=1)))
-
-
-def compute_mu(A: SymmetricMatrix) -> float:
+def compute_mu(A: SymmetricMatrix, frobenius_norm: float | None = None) -> float:
     """Encoding normalization mu(A) = min(||A||_F, sqrt(s_1(A) * s_1(A^T))).
 
     The normalization of the source minimizes the Frobenius norm and
@@ -260,13 +270,19 @@ def compute_mu(A: SymmetricMatrix) -> float:
 
     Args:
         A: Input matrix.
+        frobenius_norm: ||A||_F if already computed, else computed here.
 
     Returns:
         The normalization; never exceeds the Frobenius norm.
     """
-    absA = np.abs(np.asarray(A.entries))
-    rows = math.sqrt(_row_power_sum_max(absA, 1.0) * _row_power_sum_max(absA.T, 1.0))
-    return min(float(np.linalg.norm(absA)), rows)
+    entries = np.asarray(A.entries)
+    if frobenius_norm is None:
+        frobenius_norm = float(np.linalg.norm(entries))
+    absA = np.abs(entries)
+    # s_1(A^T) sums the transposed view: equal to s_1(A) for symmetric A up
+    # to the summation order, which the last bits of mu follow.
+    rows = math.sqrt(float(absA.sum(axis=1).max()) * float(absA.T.sum(axis=1).max()))
+    return min(frobenius_norm, rows)
 
 
 def condition_number(A: SymmetricMatrix) -> float:
@@ -281,11 +297,12 @@ def condition_number(A: SymmetricMatrix) -> float:
 def compute_stats(A: SymmetricMatrix) -> MatrixStats:
     """Assemble norms, condition number, and mu."""
     sv = A.spectral.singular_values
+    fro = float(np.linalg.norm(np.asarray(A.entries)))
     return MatrixStats(
         spectral_norm=float(sv[0]),
-        frobenius_norm=float(np.linalg.norm(np.asarray(A.entries))),
+        frobenius_norm=fro,
         kappa=condition_number(A),
-        mu=compute_mu(A),
+        mu=compute_mu(A, fro),
     )
 
 
@@ -298,7 +315,7 @@ def exact_spectral_sum(A: SymmetricMatrix, f: str, p: float | None = None) -> fl
         p: Exponent, required for f="x_pow_p".
 
     Returns:
-        The exact spectral sum from the eigendecomposition.
+        The exact spectral sum from the eigenvalues.
 
     Raises:
         ValueError: On domain violations (log/inverse of a nonpositive

@@ -1,20 +1,22 @@
-"""Emulated block-encodings and their algebra, in the source's eigenbasis.
+"""Emulated block-encodings and their algebra, on the source's eigenvalues.
 
 Every payload the pipelines build is a polynomial or power of the
 encoded symmetric matrix A (A/mu, P(A/mu), (A^2/2)^q, (A^2/2)^{r/4}),
-so it commutes with A.  A block-encoding therefore stores the shared,
-read-only eigenvector matrix of its source (``A.spectral.eigenvectors``,
-never copied) plus two length-n vectors: the payload's eigenvalues and
-the perturbation's eigenvalues.  Beyond the one cached ``eigh`` of A,
-every combinator works on these vectors in O(n) or O(n d) for a
-degree-d polynomial; the dense matrices are views built on demand.
+so it commutes with A and is diagonal in A's eigenbasis.  A
+block-encoding therefore stores a reference to its source's cached
+spectrum (``A.spectral``, never copied) plus two length-n vectors: the
+payload's eigenvalues and the perturbation's eigenvalues, both indexed
+like the source's descending eigenvalues.  Every estimate reads traces
+and norms of these vectors, so no eigenvector is ever needed: beyond the
+one cached eigenvalue solve of A, every combinator works in O(n), or
+O(n d) for a degree-d polynomial.
 
 Encodings enter through ``qram_block_encoding`` only, the
 (mu, log n, 0)-encoding of A; ``apply_svt``, ``product_preamplified``
 and ``matrix_power`` derive every other one from it.  ``BlockEncoding``
-itself takes only a basis and eigenvalue vectors.
+itself takes only a source spectrum and eigenvalue vectors.
 
-Perturbations are diagonal in the same basis, with spectral norm
+Perturbations are diagonal in the same eigenbasis, with spectral norm
 max|e| <= eps: exact mode draws none, adversarial mode puts the whole
 budget on the top eigenvector of the target (the matrix eps v v^T), and
 stochastic mode scales a random direction (n normals) by a uniform
@@ -118,16 +120,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class BlockEncoding:
-    """An emulated (alpha, q, eps)-block-encoding, stored in an eigenbasis.
+    """An emulated (alpha, q, eps)-block-encoding, stored as eigenvalues.
 
     Attributes:
-        basis: Orthogonal (n, n) eigenvector matrix shared, read-only,
-            with the source matrix and every encoding derived from it.
+        source: Spectrum of the matrix the encoding derives from, shared
+            with every encoding derived from it; its eigenbasis is the
+            one all value vectors below refer to.
         payload_values: Eigenvalues of the exact encoded block (the
-            target divided by alpha), matching the basis columns.
+            target divided by alpha), indexed like
+            ``source.eigenvalues``.
         perturbation_values: Eigenvalues of the drawn payload-level
             perturbation (fixed at construction; includes noise
-            inherited from inputs), in the same basis; zeros if omitted.
+            inherited from inputs), indexed alike; zeros if omitted.
         alpha: Normalization, at least the target's spectral norm.
         ancillas: Ancilla qubit count q.
         eps: Encoding error budget; the effective payload deviates from
@@ -137,7 +141,7 @@ class BlockEncoding:
         seed: Perturbation stream seed.
     """
 
-    basis: np.ndarray = field(repr=False)
+    source: SpectralData = field(repr=False)
     payload_values: np.ndarray
     perturbation_values: np.ndarray | None = None
     alpha: float
@@ -152,8 +156,8 @@ class BlockEncoding:
         n = values.shape[0]
         noise = _readonly(np.zeros(n) if self.perturbation_values is None
                           else self.perturbation_values)
-        if self.basis.shape != (n, n) or noise.shape != (n,):
-            raise ValueError("basis, payload_values and perturbation_values disagree in size")
+        if len(self.source.eigenvalues) != n or noise.shape != (n,):
+            raise ValueError("source, payload_values and perturbation_values disagree in size")
         if self.use_cost <= 0:
             raise ValueError("use_cost must be positive")
         object.__setattr__(self, "payload_values", values)
@@ -168,29 +172,6 @@ class BlockEncoding:
         """Eigenvalues of the payload plus the drawn perturbation."""
         return self.payload_values + self.perturbation_values
 
-    def _dense(self, values: np.ndarray) -> np.ndarray:
-        return (self.basis * values) @ self.basis.T
-
-    @property
-    def payload(self) -> np.ndarray:
-        """Dense exact payload, built on demand (O(n^3))."""
-        return self._dense(self.payload_values)
-
-    @property
-    def perturbation(self) -> np.ndarray:
-        """Dense drawn perturbation, built on demand (O(n^3))."""
-        return self._dense(self.perturbation_values)
-
-    @property
-    def payload_effective(self) -> np.ndarray:
-        """Dense payload plus perturbation, built on demand (O(n^3))."""
-        return self._dense(self.effective_values)
-
-    @property
-    def target(self) -> np.ndarray:
-        """Dense exactly encoded matrix alpha * payload, built on demand."""
-        return self._dense(self.alpha * self.payload_values)
-
     def effective_trace(self) -> float:
         """Tr of the effective payload: the sum of its eigenvalues."""
         return float(np.sum(self.effective_values))
@@ -201,7 +182,7 @@ class BlockEncoding:
         return float(np.sum(b * b))
 
     def encoding_defect(self) -> float:
-        """Measured ||alpha * payload_effective - target|| = alpha * max|e|."""
+        """Measured ||alpha * (payload + perturbation) - target|| = alpha * max|e|."""
         return float(self.alpha * np.max(np.abs(self.perturbation_values), initial=0.0))
 
 
@@ -214,8 +195,8 @@ def qram_block_encoding(A: SymmetricMatrix, mode: str = "exact", seed: int = 0) 
         seed: Perturbation stream seed.
 
     Returns:
-        Exact encoding with alpha = mu(A) and use_cost = polylog(n), in
-        the basis of ``A.spectral``.
+        Exact encoding with alpha = mu(A) and use_cost = polylog(n), on
+        the source ``A.spectral``.
 
     Raises:
         ValueError: If ||A|| > 1.
@@ -224,7 +205,7 @@ def qram_block_encoding(A: SymmetricMatrix, mode: str = "exact", seed: int = 0) 
         raise ValueError("qram encoding requires ||A|| <= 1")
     mu = A.stats.mu
     return BlockEncoding(
-        basis=A.spectral.eigenvectors,
+        source=A.spectral,
         payload_values=A.spectral.eigenvalues / mu,
         alpha=mu,
         ancillas=max(1, math.ceil(math.log2(A.n))),
@@ -266,7 +247,7 @@ def apply_svt(be: BlockEncoding, p: ChebyshevSeries, nu: float = 1e-12) -> Block
     extra = _draw_perturbation(exact, nu, be.perturbation_mode, new_seed)
     eps_out = 4 * d * math.sqrt(max(be.eps, 0.0) / be.alpha) + nu
     return BlockEncoding(
-        basis=be.basis,
+        source=be.source,
         payload_values=exact,
         alpha=1.0,
         ancillas=be.ancillas + 2,
@@ -288,12 +269,12 @@ def product_preamplified(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncodin
     for be in (be1, be2):
         if np.max(np.abs(be.alpha * be.payload_values)) > 1 + 1e-10:
             raise ValueError("preamplified product requires ||target|| <= 1")
-    if be1.basis is not be2.basis:
+    if be1.source is not be2.source:
         raise ValueError("product requires encodings that share one eigenbasis")
     payload = (be1.alpha * be1.payload_values) * (be2.alpha * be2.payload_values) / 2.0
     eff = (be1.alpha * be1.effective_values) * (be2.alpha * be2.effective_values) / 2.0
     return BlockEncoding(
-        basis=be1.basis,
+        source=be1.source,
         payload_values=payload,
         alpha=1.0,
         ancillas=be1.ancillas + be2.ancillas + 2,
@@ -338,7 +319,7 @@ def matrix_power(be: BlockEncoding, c: float, kappa: float, eps: float) -> Block
     payload = power(w)
     eff = power(be.alpha * be.effective_values)
     return BlockEncoding(
-        basis=be.basis,
+        source=be.source,
         payload_values=payload,
         alpha=1.0,
         ancillas=be.ancillas + max(1, math.ceil(math.log2(max(2.0, math.log2(1.0 / eps))))) + 2,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .matrix_core import SymmetricMatrix, exact_spectral_sum
+from .matrix_core import SymmetricMatrix, exact_spectral_sum, with_spectrum
 from .polyapprox import (
     approx_inverse,
     approx_log,
@@ -273,7 +273,7 @@ def logdet_edge_cases(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
                 parameters={"branch": "unit_norm", "multiplicity": m},
                 ledger=ledger, warnings=["identity spectrum: log-determinant is exactly 0"],
             )
-        deflated = SymmetricMatrix(rest.size, np.diag(rest), spd_flag=True)
+        deflated = with_spectrum(np.diag(rest), rest, spd_flag=True)
         sub = logdet_svt(deflated, cfg)
         bound = cfg.eps * abs(sub.exact) if sub.exact is not None else sub.guarantee_bound
         sub.parameters.update({"branch": "unit_norm", "multiplicity": m,
@@ -283,7 +283,7 @@ def logdet_edge_cases(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
                        sub.parameters, warnings)
     # ||A|| > 1: rescale to a contraction and undo the shift.
     alpha_shift = norm / 0.5
-    scaled = SymmetricMatrix(n, np.asarray(A.entries) / alpha_shift, spd_flag=True)
+    scaled = with_spectrum(np.asarray(A.entries) / alpha_shift, w / alpha_shift, spd_flag=True)
     if w[-1] < 1 < w[0]:
         warnings.append("mixed-sign log terms: absolute guarantee only")
     eps_inner = cfg.eps / math.log(2.0 * st.kappa)

@@ -252,6 +252,24 @@ class TestOneEigendecompositionPerMatrix:
         assert len(decompositions) == 3
         assert len({id(A) for A in decompositions}) == 3
 
+    def test_vn_entropy_estimate_decomposes_once(self, tmp_path, runner, decompositions):
+        path = str(tmp_path / "rho.mtx")
+        A = matrix_core.generate_spd(16, 10.0, "log_uniform", 0.5, 1)
+        matrix_core.save_matrix_market(path, matrix_core.unit_trace(A))
+        decompositions.clear()
+        res = runner.invoke(main, ["estimate", "--matrix", path, "--algorithm", "vn_entropy"])
+        assert res.exit_code == 0, res.output
+        assert len(decompositions) == 1
+
+    def test_vn_entropy_sweep_decomposes_each_matrix_once(self, tmp_path, runner,
+                                                          decompositions):
+        # A / Tr A takes A's spectrum divided by Tr A: only A is decomposed.
+        res = runner.invoke(main, ["sweep", "--n", "16", "--algorithm", "vn_entropy",
+                                   "--axis", "kappa", "--values", "5,10",
+                                   "--out", str(tmp_path / "s.csv")])
+        assert res.exit_code == 0, res.output
+        assert len(decompositions) == 2
+
 
 class TestVerify:
     def test_unknown_suite_usage_error(self, runner):

@@ -1,10 +1,11 @@
-"""Tests for matrix generation, decomposition, and exact oracles."""
+"""Tests for matrix generation, spectra, and exact oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
+from specsum import matrix_core
 from specsum.matrix_core import (
     SymmetricMatrix,
     compute_mu,
@@ -14,7 +15,20 @@ from specsum.matrix_core import (
     load_matrix_market,
     save_matrix_market,
     spectral_decompose,
+    unit_trace,
+    with_spectrum,
 )
+
+
+def _reference_eigenvalues(entries):
+    """This file's own eigh of ``entries``, sorted descending."""
+    return np.sort(np.linalg.eigh(np.asarray(entries))[0])[::-1]
+
+
+def _assert_descending_read_only(sd):
+    assert np.all(np.diff(sd.eigenvalues) <= 0)
+    assert not sd.eigenvalues.flags.writeable
+    assert not sd.singular_values.flags.writeable
 
 
 class TestSymmetricMatrix:
@@ -85,11 +99,20 @@ class TestGenerateSpd:
 
 
 class TestSpectralDecompose:
-    def test_reconstruction(self):
+    def test_eigenvalues_match_eigh(self):
         A = generate_spd(24, 10.0, "uniform", 0.5, 5)
         sd = spectral_decompose(A)
-        rebuilt = (sd.eigenvectors * sd.eigenvalues) @ sd.eigenvectors.T
-        assert np.allclose(rebuilt, A.entries, atol=1e-12)
+        np.testing.assert_allclose(sd.eigenvalues, _reference_eigenvalues(A.entries),
+                                   rtol=1e-13, atol=0)
+        _assert_descending_read_only(sd)
+        assert not hasattr(sd, "eigenvectors")
+
+    def test_calls_no_eigh(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a) or eigh(*a, **k))
+        spectral_decompose(generate_spd(24, 10.0, "uniform", 0.5, 5))
+        assert calls == []
 
     def test_descending_order(self):
         A = generate_spd(24, 10.0, "uniform", 0.5, 5)
@@ -100,6 +123,47 @@ class TestSpectralDecompose:
         m = SymmetricMatrix(2, np.diag([0.5, -0.7]))
         sd = spectral_decompose(m)
         assert list(sd.singular_values) == pytest.approx([0.7, 0.5])
+
+
+class TestWithSpectrum:
+    """Matrices derived from a cached spectrum carry it over exactly."""
+
+    @pytest.fixture()
+    def decompositions(self, monkeypatch):
+        calls = []
+        decompose = matrix_core.spectral_decompose
+        monkeypatch.setattr(matrix_core, "spectral_decompose",
+                            lambda A: calls.append(A) or decompose(A))
+        return calls
+
+    @staticmethod
+    def _derived(A):
+        """The rescaled, deflated and unit-trace matrices the estimators build."""
+        w, e = A.spectral.eigenvalues, np.asarray(A.entries)
+        alpha = A.stats.spectral_norm / 0.5
+        rest = w[1:]
+        return [with_spectrum(e / alpha, w / alpha, spd_flag=True),
+                with_spectrum(np.diag(rest), rest, spd_flag=True),
+                unit_trace(A)]
+
+    @pytest.mark.parametrize("kappa", [10.0, 100.0])
+    @pytest.mark.parametrize("n", [2, 17, 64])
+    def test_spectrum_matches_eigh_of_entries(self, decompositions, n, kappa):
+        A = generate_spd(n, kappa, "log_uniform", 1.0, n)
+        A.stats
+        decompositions.clear()
+        for M in self._derived(A):
+            np.testing.assert_allclose(M.spectral.eigenvalues,
+                                       _reference_eigenvalues(M.entries), rtol=1e-13, atol=0)
+            _assert_descending_read_only(M.spectral)
+            assert M.stats.mu == compute_mu(SymmetricMatrix(M.n, M.entries))
+        assert decompositions == []
+
+    def test_eigenvalues_are_copied(self):
+        w = np.array([0.5, 0.25])
+        M = with_spectrum(np.diag(w), w)
+        w[0] = 9.0
+        assert M.spectral.eigenvalues[0] == 0.5
 
 
 class TestMatrixMarketIO:

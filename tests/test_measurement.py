@@ -19,6 +19,8 @@ from specsum.measurement import (
 )
 from specsum.qmodel import qram_block_encoding
 
+from dense_views import dense, eigenbasis
+
 
 class TestMedianReps:
     def test_formula(self):
@@ -91,11 +93,12 @@ class TestTraceEstimates:
 
 class TestTraceProduct:
     def setup_method(self):
-        self.be = qram_block_encoding(generate_spd(16, 10.0, "log_uniform", 0.5, 2))
+        self.A = generate_spd(16, 10.0, "log_uniform", 0.5, 2)
+        self.be = qram_block_encoding(self.A)
 
     def test_exact_value(self):
         est = trace_product_estimate(self.be, 0.1)
-        block = self.be.alpha * np.asarray(self.be.payload)
+        block = dense(self.be, eigenbasis(self.A.entries)).target
         assert est.value == pytest.approx(float(np.sum(block * block)))
 
     def test_adversarial_stays_relative(self):

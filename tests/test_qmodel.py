@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from specsum.matrix_core import SymmetricMatrix, generate_spd
+from specsum.matrix_core import SymmetricMatrix, generate_spd, with_spectrum
 from specsum.polyapprox import ChebyshevSeries, approx_monomial
 from specsum.qmodel import (
     BlockEncoding,
@@ -21,9 +21,16 @@ from specsum.qmodel import (
     sve_estimate,
 )
 
+from dense_views import dense, eigenbasis
+
 
 def _contraction(n=16, kappa=10.0, seed=1):
     return generate_spd(n, kappa, "log_uniform", 0.5, seed)
+
+
+def _source(n):
+    """The spectrum of the n x n identity, whose eigenbasis may be taken as I."""
+    return with_spectrum(np.eye(n), np.ones(n)).spectral
 
 
 class TestPolylog:
@@ -57,7 +64,7 @@ class TestEncodings:
         A = _contraction()
         be = qram_block_encoding(A)
         assert be.alpha == pytest.approx(A.stats.mu)
-        assert np.allclose(be.target, A.entries, atol=1e-12)
+        assert np.allclose(dense(be, eigenbasis(A.entries)).target, A.entries, atol=1e-12)
         assert be.use_cost == polylog(A.n)
         assert be.eps == 0.0
 
@@ -67,21 +74,21 @@ class TestEncodings:
             qram_block_encoding(big)
 
     def test_vectors_are_read_only_and_noise_defaults_to_zero(self):
-        be = BlockEncoding(basis=np.eye(3), payload_values=[0.25, 0.5, 1.0], alpha=1.0,
+        be = BlockEncoding(source=_source(3), payload_values=[0.25, 0.5, 1.0], alpha=1.0,
                            ancillas=1, eps=0.0, use_cost=1.0, perturbation_mode="exact",
                            seed=0)
         assert not be.perturbation_values.any()
         assert not be.payload_values.flags.writeable
         assert not be.perturbation_values.flags.writeable
-        np.testing.assert_array_equal(be.payload, np.diag([0.25, 0.5, 1.0]))
+        np.testing.assert_array_equal(dense(be, np.eye(3)).payload, np.diag([0.25, 0.5, 1.0]))
 
     def test_rejects_size_mismatch_and_free_use(self):
-        kw = dict(basis=np.eye(3), payload_values=np.ones(3), alpha=1.0, ancillas=1,
+        kw = dict(source=_source(3), payload_values=np.ones(3), alpha=1.0, ancillas=1,
                   eps=0.0, perturbation_mode="exact", seed=0)
         with pytest.raises(ValueError, match="disagree in size"):
             BlockEncoding(**dict(kw, perturbation_values=np.zeros(2)), use_cost=1.0)
         with pytest.raises(ValueError, match="disagree in size"):
-            BlockEncoding(**dict(kw, basis=np.eye(2)), use_cost=1.0)
+            BlockEncoding(**dict(kw, source=_source(2)), use_cost=1.0)
         with pytest.raises(ValueError, match="use_cost"):
             BlockEncoding(**kw, use_cost=0.0)
 
@@ -90,21 +97,19 @@ class TestEncodings:
         with pytest.raises(dataclasses.FrozenInstanceError):
             be.alpha = 2.0
 
-    def test_dense_views_share_the_basis(self):
-        Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
-        w = np.array([0.5, 0.25, -0.125, 0.0625])
-        dw = np.array([1e-3, 0.0, -2e-3, 0.0])
-        be = BlockEncoding(basis=Q, payload_values=w, perturbation_values=dw, alpha=2.0,
-                           ancillas=1, eps=4e-3, use_cost=1.0,
-                           perturbation_mode="stochastic", seed=0)
-        np.testing.assert_allclose(be.payload, Q @ np.diag(w) @ Q.T, atol=1e-15)
-        np.testing.assert_allclose(be.target, 2.0 * be.payload, atol=1e-15)
-        np.testing.assert_allclose(be.payload_effective, be.payload + be.perturbation,
-                                   atol=1e-15)
-        assert be.effective_trace() == pytest.approx(float(np.sum(w + dw)))
+    def test_derived_encodings_share_the_source(self):
+        A = _contraction()
+        be = qram_block_encoding(A, "stochastic", seed=5)
+        assert be.source is A.spectral
+        out = apply_svt(be, ChebyshevSeries(
+            degree=1, coefficients=np.array([0.0, 0.5]), target="x/2",
+            certified_sup_error=0.0, certified_on=(-1.0, 1.0), global_bound=0.5))
+        assert product_preamplified(out, out).source is A.spectral
+        assert out.effective_trace() == pytest.approx(
+            float(np.sum(out.payload_values + out.perturbation_values)))
 
     def test_encoding_defect_is_largest_perturbation_value(self):
-        be = BlockEncoding(basis=np.eye(3), payload_values=np.full(3, 0.5),
+        be = BlockEncoding(source=_source(3), payload_values=np.full(3, 0.5),
                            perturbation_values=[1e-4, -3e-4, 2e-4], alpha=1.0,
                            ancillas=1, eps=1e-3, use_cost=1.0,
                            perturbation_mode="stochastic", seed=0)
@@ -122,8 +127,9 @@ class TestApplySvt:
             certified_on=(-1.0, 1.0), global_bound=0.5,
         )
         out = apply_svt(be, half)
-        expected = np.linalg.matrix_power(np.asarray(be.payload), 3) / 2.0
-        assert np.allclose(out.payload, expected, atol=1e-10)
+        V = eigenbasis(A.entries)
+        expected = np.linalg.matrix_power(dense(be, V).payload, 3) / 2.0
+        assert np.allclose(dense(out, V).payload, expected, atol=1e-10)
         assert out.use_cost == (3 + 1) * be.use_cost
 
     def test_rejects_unbounded_polynomial(self):
@@ -142,10 +148,10 @@ class TestProducts:
         out = product_preamplified(be, be)
         expected = (np.asarray(A.entries) @ np.asarray(A.entries)) / 2.0
         assert out.alpha == 1.0
-        assert np.allclose(out.payload, expected, atol=1e-12)
+        assert np.allclose(dense(out, eigenbasis(A.entries)).payload, expected, atol=1e-12)
 
     def test_preamplified_requires_contractions(self):
-        big = BlockEncoding(basis=np.eye(2), payload_values=np.ones(2), alpha=2.0,
+        big = BlockEncoding(source=_source(2), payload_values=np.ones(2), alpha=2.0,
                             ancillas=1, eps=0.0, use_cost=1.0, perturbation_mode="exact",
                             seed=0)
         with pytest.raises(ValueError, match="contraction|<= 1"):
@@ -155,7 +161,7 @@ class TestProducts:
 class TestMatrixPower:
     def _half_encoding(self):
         # I/kappa <= H <= I with H = diag spectrum, encoded exactly.
-        return BlockEncoding(basis=np.eye(8), payload_values=np.linspace(0.25, 1.0, 8),
+        return BlockEncoding(source=_source(8), payload_values=np.linspace(0.25, 1.0, 8),
                              alpha=1.0, ancillas=2, eps=0.0, use_cost=1.0,
                              perturbation_mode="exact", seed=0)
 
@@ -163,17 +169,17 @@ class TestMatrixPower:
         be = self._half_encoding()
         out = matrix_power(be, 0.5, 4.0, 1e-6)
         expected = np.diag(np.sqrt(np.linspace(0.25, 1.0, 8))) / 2.0
-        assert np.allclose(out.payload, expected, atol=1e-12)
+        assert np.allclose(dense(out, np.eye(8)).payload, expected, atol=1e-12)
 
     def test_rejects_noisy_input(self):
-        noisy = BlockEncoding(basis=np.eye(8), payload_values=np.linspace(0.25, 1.0, 8),
+        noisy = BlockEncoding(source=_source(8), payload_values=np.linspace(0.25, 1.0, 8),
                               alpha=1.0, ancillas=2, eps=1e-2, use_cost=1.0,
                               perturbation_mode="exact", seed=0)
         with pytest.raises(ValueError, match="budget"):
             matrix_power(noisy, 0.5, 4.0, 1e-6)
 
     def test_rejects_out_of_range_spectrum(self):
-        be = BlockEncoding(basis=np.eye(8), payload_values=np.linspace(0.01, 1.0, 8),
+        be = BlockEncoding(source=_source(8), payload_values=np.linspace(0.01, 1.0, 8),
                            alpha=1.0, ancillas=2, eps=0.0, use_cost=1.0,
                            perturbation_mode="exact", seed=0)
         with pytest.raises(ValueError, match="kappa"):
