@@ -7,9 +7,14 @@ eigendecomposition -- and report a matvec ledger (one dense matvec is
 charged as n^2 unit operations) so their cost can be compared
 head-to-head with the quantum-model estimators' query ledgers.
 
-The recurrences run on n x k blocks of probes, so each step is one
-matrix-matrix product over the block rather than k matvecs; the ledger
-still charges every probe's matvecs one by one.  Probe i is drawn from
+Every operator a series is evaluated at is symmetric with spectrum in
+[-1, 1], so a degree-d series needs only ceil(d/2) products: the
+Chebyshev moments z^T T_k z follow from T_{2j} = 2 T_j^2 - T_0 and
+T_{2j+1} = 2 T_j T_{j+1} - T_1, the Taylor terms z^T B^k z from
+<B^j z, B^j z> and <B^j z, B^{j+1} z>.  The products run on n x k
+blocks of probes, one matrix-matrix product per step rather than k
+matvecs.  The ledger still charges the modelled recurrence, d matvecs
+per probe for a degree-d series, probe by probe.  Probe i is drawn from
 the counter-based stream (seed, 29, i), so results are deterministic
 given the seed and independent of evaluation order and block size.
 `_probe` is the one per-probe definition and draws Gaussian probes; a
@@ -182,10 +187,10 @@ def classical_logdet_taylor(A: SymmetricMatrix, eps: float,
                             cfg: ProbeConfig) -> SpectralSumReport:
     """Log-determinant by Hutchinson over the truncated Taylor series.
 
-    Estimates -sum_{k<=m} Tr[(I - A)^k]/k, accumulating the powers by
-    repeated matvecs on each probe.  The truncation order m targets
-    relative error eps/2, leaving the other half of the budget to the
-    probe average.
+    Estimates -sum_{k<=m} Tr[(I - A)^k]/k from ceil(m/2) products on
+    each block of probes, charging m matvecs per probe.  The truncation
+    order m targets relative error eps/2, leaving the other half of the
+    budget to the probe average.
     """
     _require_spd_contraction(A)
     n = A.n
@@ -193,12 +198,18 @@ def classical_logdet_taylor(A: SymmetricMatrix, eps: float,
     m = taylor_logdet_degree(kappa_eff, eps / 2.0)
     mat = np.asarray(A.entries)
 
+    # With V = B^j Z for B = I - A: z^T B^{2j} z = <V, V> and
+    # z^T B^{2j+1} z = <V, B V>, so each product serves two terms.
     def qform(Z):
         V = Z
         acc = np.zeros(Z.shape[1])
         for k in range(1, m + 1):
-            V = V - mat @ V
-            acc += _coldot(Z, V) / k
+            if k % 2:
+                W = V - mat @ V
+                acc += _coldot(V, W) / k
+                V = W
+            else:
+                acc += _coldot(V, V) / k
         return acc
 
     mean, stderr = _quadform_samples(qform, n, cfg)
@@ -239,7 +250,8 @@ def classical_logdet_chebyshev(A: SymmetricMatrix, eps: float,
     mean, stderr = _cheb_quadform(lambda V: scale * (2.0 * (mat @ V) - V), coeffs, n, cfg)
     exact = exact_spectral_sum(A, "log")
     bound = eps * abs(exact)
-    # Matvecs per probe: one for T_1 and one per recurrence step.
+    # Matvecs charged per probe: the modelled recurrence's one for T_1 and
+    # one per step, d in all.
     return _probe_report(
         "classical_logdet_chebyshev", mean, bound, "relative", exact, cfg,
         stderr, d * cfg.num_probes, n,
@@ -340,23 +352,35 @@ def classical_schatten_p(A: SymmetricMatrix, p: int, eps: float,
 
 
 def _cheb_quadform(op, coeffs: np.ndarray, n: int, cfg: ProbeConfig) -> tuple[float, float]:
-    """Hutchinson samples of z^T P(M) z via the three-term recurrence.
+    """Hutchinson samples of z^T P(M) z from ceil(d/2) block products.
 
-    op maps an n x k block V to M V for the operator M the series is
-    evaluated at.
+    op maps an n x k block V to a new block M V, for the symmetric
+    operator M with spectrum in [-1, 1] that the degree-d series is
+    evaluated at.  The d + 1 moments mu_k = z^T T_k(M) z come from
+    T_{2j} = 2 T_j^2 - T_0 and T_{2j+1} = 2 T_j T_{j+1} - T_1:
+    mu_{2j} = 2 <T_j z, T_j z> - mu_0 and mu_{2j+1} = 2 <T_j z, T_{j+1} z> - mu_1,
+    so the three-term recurrence runs only to T_{ceil(d/2)}.  Callers
+    still charge the modelled d matvecs per probe.
     """
     d = len(coeffs) - 1
 
     def qform(Z):
-        t_prev = Z
-        acc = coeffs[0] * _coldot(Z, t_prev)
+        mu0 = _coldot(Z, Z)
+        acc = coeffs[0] * mu0
         if d == 0:
             return acc
-        t_cur = op(Z)
-        acc += coeffs[1] * _coldot(Z, t_cur)
-        for j in range(2, d + 1):
-            t_prev, t_cur = t_cur, 2.0 * op(t_cur) - t_prev
-            acc += coeffs[j] * _coldot(Z, t_cur)
+        t_prev, t_cur = Z, op(Z)
+        mu1 = _coldot(Z, t_cur)
+        acc += coeffs[1] * mu1
+        for k in range(2, d + 1):
+            if k % 2 == 0:
+                acc += coeffs[k] * (2.0 * _coldot(t_cur, t_cur) - mu0)
+            else:
+                t_next = op(t_cur)
+                t_next *= 2.0
+                t_next -= t_prev
+                acc += coeffs[k] * (2.0 * _coldot(t_cur, t_next) - mu1)
+                t_prev, t_cur = t_cur, t_next
         return acc
 
     return _quadform_samples(qform, n, cfg)

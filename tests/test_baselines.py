@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from specsum import baselines
 from specsum.baselines import (
     ProbeConfig,
     _cheb_quadform,
+    _coldot,
     _probe,
+    _quadform_samples,
     classical_entropy,
     classical_logdet_chebyshev,
     classical_logdet_taylor,
@@ -238,19 +241,38 @@ _ESTIMATORS = {
 class TestBlockedProbes:
     """Blocked recurrences match the per-probe reference loop."""
 
-    @pytest.mark.parametrize("num_probes", [7, 600])
-    @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
-    @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
-    def test_matches_per_probe_loop(self, name, kind, num_probes):
-        A = _density(n=8, kappa=2.0) if name == "entropy" else _matrix(n=8, kappa=4.0)
-        eps = 0.3
-        cfg = ProbeConfig(num_probes=num_probes, probe_kind=kind, seed=3)
+    @staticmethod
+    def _check(name, A, eps, cfg):
         rep = _ESTIMATORS[name](A, eps, cfg)
         value, stderr, matvecs = _reference(name, A, eps, cfg, rep)
         assert rep.estimate.value == pytest.approx(value, rel=1e-10, abs=0.0)
         assert rep.parameters["stderr"] == pytest.approx(stderr, rel=1e-10, abs=0.0)
         assert rep.parameters["matvecs"] == matvecs
         assert rep.ledger.total_queries == matvecs * A.n**2
+        return rep
+
+    @pytest.mark.parametrize("num_probes", [7, 600])
+    @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+    @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+    def test_matches_per_probe_loop(self, name, kind, num_probes):
+        A = _density(n=8, kappa=2.0) if name == "entropy" else _matrix(n=8, kappa=4.0)
+        self._check(name, A, 0.3, ProbeConfig(num_probes=num_probes, probe_kind=kind, seed=3))
+
+    @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+    @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+    def test_long_series_match_per_probe_loop(self, name, kind):
+        """Degrees in the hundreds and thousands (trace_inverse 281, Taylor
+        m = 98, entropy 2,702), where each even moment 2<T_j z, T_j z> - mu_0
+        is a difference of two terms of size ||z||^2."""
+        A = _density(n=64, kappa=10.0) if name == "entropy" else _matrix(n=64, kappa=10.0)
+        self._check(name, A, 0.3, ProbeConfig(num_probes=7, probe_kind=kind, seed=3))
+
+    def test_taylor_odd_and_even_orders(self):
+        A = _matrix(n=16, kappa=4.0)
+        cfg = ProbeConfig(num_probes=9, seed=2)
+        orders = {self._check("taylor", A, eps, cfg).parameters["m"]
+                  for eps in (0.3, 0.1)}
+        assert {m % 2 for m in orders} == {0, 1}
 
     def test_hutchinson_vector_matvec_across_blocks(self):
         n = 5
@@ -272,7 +294,7 @@ class TestBlockedProbes:
 class TestChebQuadform:
     """Rademacher probes read a diagonal operator's trace exactly: z_i^2 = 1."""
 
-    @pytest.mark.parametrize("degree", [0, 1, 6])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 6, 7])
     def test_diagonal_trace_is_exact(self, degree):
         d = np.linspace(-0.9, 0.9, 7)
         coeffs = np.random.default_rng(degree).standard_normal(degree + 1)
@@ -281,6 +303,70 @@ class TestChebQuadform:
         assert mean == pytest.approx(float(np.sum(np.polynomial.chebyshev.chebval(d, coeffs))),
                                      rel=1e-12, abs=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("degree", range(8))
+    def test_half_the_block_products(self, degree):
+        d = np.linspace(-0.9, 0.9, 7)
+        calls = []
+
+        def op(V):
+            calls.append(V.shape)
+            return d[:, None] * V
+
+        _cheb_quadform(op, np.ones(degree + 1), d.size, ProbeConfig(num_probes=5, seed=1))
+        assert calls == [(d.size, 5)] * math.ceil(degree / 2)
+
+
+def _unfused_cheb_qform(op, coeffs):
+    """_cheb_quadform's qform with the step written as 2.0 * op(T_j) - T_{j-1}."""
+    d = len(coeffs) - 1
+
+    def qform(Z):
+        mu0 = _coldot(Z, Z)
+        acc = coeffs[0] * mu0
+        if d == 0:
+            return acc
+        t_prev, t_cur = Z, op(Z)
+        mu1 = _coldot(Z, t_cur)
+        acc += coeffs[1] * mu1
+        for k in range(2, d + 1):
+            if k % 2 == 0:
+                acc += coeffs[k] * (2.0 * _coldot(t_cur, t_cur) - mu0)
+            else:
+                t_prev, t_cur = t_cur, 2.0 * op(t_cur) - t_prev
+                acc += coeffs[k] * (2.0 * _coldot(t_prev, t_cur) - mu1)
+        return acc
+
+    return qform
+
+
+# 25 cells: three estimators over n, kappa and the probe count, plus one
+# entropy cell (its series runs to degree 1,329 there and beyond 3,000 in
+# the others).
+_IN_PLACE_CELLS = [
+    (name, n, kappa, num_probes)
+    for name in ("chebyshev", "schatten", "trace_inverse")
+    for n in (64, 256) for kappa in (2.0, 10.0) for num_probes in (64, 256)
+] + [("entropy", 64, 2.0, 64)]
+
+
+class TestInPlaceStep:
+    """The in-place step (op, then *= 2 and -= T_{j-1}) is bitwise the unfused one."""
+
+    @pytest.mark.parametrize("name, n, kappa, num_probes", _IN_PLACE_CELLS)
+    def test_bitwise_equal_to_unfused(self, monkeypatch, name, n, kappa, num_probes):
+        pairs = []
+
+        def both(op, coeffs, n, cfg):
+            fused = _cheb_quadform(op, coeffs, n, cfg)
+            pairs.append((fused, _quadform_samples(_unfused_cheb_qform(op, coeffs), n, cfg)))
+            return fused
+
+        monkeypatch.setattr(baselines, "_cheb_quadform", both)
+        A = _density(n=n, kappa=kappa) if name == "entropy" else _matrix(n=n, kappa=kappa)
+        _ESTIMATORS[name](A, 0.1, ProbeConfig(num_probes=num_probes, seed=5))
+        assert len(pairs) == 1
+        assert pairs[0][0] == pairs[0][1]
 
 
 # The SPD baselines, with the contraction each requires: strict (||A|| < 1)
