@@ -31,14 +31,12 @@ from .matrix_core import (
     generate_spd,
     load_matrix_market,
     save_matrix_market,
-    unit_trace,
 )
 from .polyapprox import CertificationError
 from .reporting import canonical_json, csv_header, csv_row, report_json
-from .spectral_sums import ALGORITHMS, AlgoConfig, run_algorithm
+from .spectral_sums import ALGORITHMS, MODES, AlgoConfig, run_algorithm
 from .verify import SUITES, run_suite
 
-_ALGO_CHOICES = sorted(ALGORITHMS) + ["schatten_p", "logdet_edge_cases"]
 _PROFILES = {"log-uniform": "log_uniform", "uniform": "uniform", "clustered": "clustered"}
 
 
@@ -116,10 +114,10 @@ def gen(n, kappa, profile, norm, seed, out):
 @main.command()
 @click.option("--matrix", "matrix_path", required=True,
               type=click.Path(exists=True, dir_okay=False), help="Matrix Market input.")
-@click.option("--algorithm", type=click.Choice(_ALGO_CHOICES), required=True)
+@click.option("--algorithm", type=click.Choice(sorted(ALGORITHMS)), required=True)
 @click.option("--eps", type=float, default=0.1, show_default=True)
 @click.option("--delta", type=float, default=0.05, show_default=True)
-@click.option("--mode", type=click.Choice(["exact", "stochastic", "adversarial"]),
+@click.option("--mode", type=click.Choice(MODES),
               default="exact", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--p", type=int, default=1, show_default=True, help="Schatten exponent.")
@@ -159,14 +157,14 @@ def estimate(matrix_path, algorithm, eps, delta, mode, seed, p,
 @click.option("--norm", type=float, default=0.5, show_default=True)
 @click.option("--matrix-seed", type=int, default=0, show_default=True,
               help="Seed for the generated sweep matrices.")
-@click.option("--algorithm", type=click.Choice(_ALGO_CHOICES), required=True)
+@click.option("--algorithm", type=click.Choice(sorted(ALGORITHMS)), required=True)
 @click.option("--axis", type=click.Choice(["eps", "kappa", "n", "p"]), required=True)
 @click.option("--values", required=True, help="Comma-separated axis values.")
 @click.option("--seeds", type=int, default=1, show_default=True,
               help="Estimator seeds 0..seeds-1 per axis value.")
 @click.option("--eps", type=float, default=0.1, show_default=True)
 @click.option("--delta", type=float, default=0.05, show_default=True)
-@click.option("--mode", type=click.Choice(["exact", "stochastic", "adversarial"]),
+@click.option("--mode", type=click.Choice(MODES),
               default="exact", show_default=True)
 @click.option("--p", type=int, default=4, show_default=True)
 @click.option("--out", required=True, help="CSV output path.")
@@ -199,7 +197,7 @@ def sweep(n, kappa, profile, norm, matrix_seed, algorithm, axis, values,
         key = (nn, kk)
         if key not in matrices:
             A = generate_spd(nn, kk, _PROFILES[profile], norm, matrix_seed)
-            matrices[key] = unit_trace(A) if algorithm == "vn_entropy" else A
+            matrices[key] = ALGORITHMS[algorithm].input(A)
         return matrices[key]
 
     def run_cell(cell):

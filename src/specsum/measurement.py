@@ -7,8 +7,8 @@ error/success-probability contract and charges abstract query units;
 stochastic draws come from counter-based streams so repeated runs with
 the same seed are bit-identical.
 
-Success amplification uses the median of ceil(18 ln(1/delta))
-independent repetitions of the base primitive.
+Success amplification (`median_amplify`) takes the median of
+ceil(18 ln(1/delta)) independent repetitions of the base primitive.
 """
 
 from __future__ import annotations
@@ -19,20 +19,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmodel import BlockEncoding, polylog
-from .rng import stream
+from .rng import child_seed, stream
 
 __all__ = [
+    "MODES",
     "Estimate",
     "BRASSARD_SUCCESS",
     "amplitude_estimate",
     "ae_rounds_for",
     "median_reps",
+    "median_amplify",
     "trace_estimate_abs",
     "trace_product_estimate",
     "inner_product_estimate",
     "hadamard_test_estimate",
     "qmc_mean_estimate",
 ]
+
+MODES = ("exact", "stochastic", "adversarial")
 
 # Success probability of a single amplitude-estimation shot.
 BRASSARD_SUCCESS = 8.0 / math.pi**2
@@ -71,6 +75,15 @@ def median_reps(delta: float) -> int:
     if not (0 < delta < 0.5):
         raise ValueError("delta must lie in (0, 1/2)")
     return math.ceil(_MEDIAN_C * math.log(1.0 / delta))
+
+
+def median_amplify(draw, reps: int) -> tuple[float, bool]:
+    """Median amplification: (median value, failed) over draw(0), ..., draw(reps - 1).
+
+    Each draw returns its (value, failed) pair; the run fails when most draws failed.
+    """
+    draws = [draw(r) for r in range(reps)]
+    return float(np.median([v for v, _ in draws])), sum(f for _, f in draws) * 2 > reps
 
 
 def ae_rounds_for(eps: float) -> int:
@@ -175,14 +188,13 @@ def trace_estimate_abs(be: BlockEncoding, eps: float, seed: int = 0,
     a = (1.0 + be.effective_trace() / n) / 2.0
     a = min(1.0, max(0.0, a))
     reps = 1 if delta is None else median_reps(delta)
-    vals = []
-    n_failed = 0
-    for r in range(reps):
-        est = amplitude_estimate(a, t, be.perturbation_mode, (seed * 1000003 + r) & 0x7FFFFFFF,
+
+    def draw(r):
+        est = amplitude_estimate(a, t, be.perturbation_mode, child_seed(seed, r),
                                  unit_cost=be.use_cost)
-        vals.append(n * be.alpha * (2.0 * est.value - 1.0))
-        n_failed += est.failed
-    value = float(np.median(vals))
+        return n * be.alpha * (2.0 * est.value - 1.0), est.failed
+
+    value, failed = median_amplify(draw, reps)
     bound = n * (2.0 * be.alpha * (math.pi / t + math.pi**2 / t**2) + be.eps)
     return Estimate(
         value=value,
@@ -190,7 +202,7 @@ def trace_estimate_abs(be: BlockEncoding, eps: float, seed: int = 0,
         success_prob=BRASSARD_SUCCESS if delta is None else 1.0 - delta,
         queries_charged=reps * t * be.use_cost,
         seed=seed,
-        failed=n_failed * 2 > reps,
+        failed=failed,
     )
 
 
@@ -229,22 +241,19 @@ def trace_product_estimate(be: BlockEncoding, eps: float, seed: int = 0,
             f"{eps * exact_val / (4.0 * n):.3e}"
         )
     reps = 1 if delta is None else median_reps(delta)
-    vals = []
-    n_failed = 0
-    for r in range(reps):
-        rng = stream(seed, 0xB, r)
+
+    def draw(r):
         if be.perturbation_mode == "exact":
-            vals.append(true_val)
-        elif be.perturbation_mode == "adversarial":
-            vals.append(true_val * (1.0 + max(eps - _ROUNDING_SLACK, 0.5 * eps)))
-        else:
-            if rng.random() < 2.0 / 3.0:
-                vals.append(true_val * (1.0 + eps * rng.uniform(-1.0, 1.0)))
-            else:
-                sign = 1.0 if rng.random() < 0.5 else -1.0
-                vals.append(true_val * (1.0 + sign * eps * rng.uniform(1.0, 2.0)))
-                n_failed += 1
-    value = float(np.median(vals))
+            return true_val, False
+        if be.perturbation_mode == "adversarial":
+            return true_val * (1.0 + max(eps - _ROUNDING_SLACK, 0.5 * eps)), False
+        rng = stream(seed, 0xB, r)
+        if rng.random() < 2.0 / 3.0:
+            return true_val * (1.0 + eps * rng.uniform(-1.0, 1.0)), False
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        return true_val * (1.0 + sign * eps * rng.uniform(1.0, 2.0)), True
+
+    value, failed = median_amplify(draw, reps)
     per_rep = be.use_cost * math.sqrt(n) / eps * polylog(n)
     return Estimate(
         value=value,
@@ -252,7 +261,7 @@ def trace_product_estimate(be: BlockEncoding, eps: float, seed: int = 0,
         success_prob=2.0 / 3.0 if delta is None else 1.0 - delta,
         queries_charged=reps * per_rep,
         seed=seed,
-        failed=n_failed * 2 > reps,
+        failed=failed,
     )
 
 
@@ -278,32 +287,30 @@ def inner_product_estimate(psi_amp: float, eps: float, delta: float,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode: {mode!r}")
     reps = median_reps(delta)
     t = ae_rounds_for(eps)
-    vals = []
-    n_failed = 0
-    for r in range(reps):
-        rng = stream(seed, 0xC, r)
+
+    def draw(r):
         if mode == "exact":
-            vals.append(psi_amp)
-        elif mode == "adversarial":
-            vals.append(psi_amp + eps)
-        elif mode == "stochastic":
-            if rng.random() < BRASSARD_SUCCESS:
-                vals.append(psi_amp + eps * rng.uniform(-1.0, 1.0))
-            else:
-                sign = 1.0 if rng.random() < 0.5 else -1.0
-                vals.append(psi_amp + sign * eps * rng.uniform(1.0, 3.0))
-                n_failed += 1
-        else:
-            raise ValueError(f"unknown mode: {mode!r}")
+            return psi_amp, False
+        if mode == "adversarial":
+            return psi_amp + eps, False
+        rng = stream(seed, 0xC, r)
+        if rng.random() < BRASSARD_SUCCESS:
+            return psi_amp + eps * rng.uniform(-1.0, 1.0), False
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        return psi_amp + sign * eps * rng.uniform(1.0, 3.0), True
+
+    value, failed = median_amplify(draw, reps)
     return Estimate(
-        value=float(np.median(vals)),
+        value=value,
         abs_error_bound=eps,
         success_prob=1.0 - 2.0 * delta,
         queries_charged=reps * t * unit_cost,
         seed=seed,
-        failed=n_failed * 2 > reps,
+        failed=failed,
     )
 
 

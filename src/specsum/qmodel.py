@@ -38,7 +38,7 @@ import numpy as np
 
 from .matrix_core import SymmetricMatrix, SpectralData
 from .polyapprox import ChebyshevSeries
-from .rng import stream
+from .rng import child_seed, stream
 
 __all__ = [
     "BlockEncoding",
@@ -243,7 +243,7 @@ def apply_svt(be: BlockEncoding, p: ChebyshevSeries, nu: float = 1e-12) -> Block
     d = p.degree
     # One Clenshaw pass over both rows: its cost is per degree, not per point.
     exact, effective = p(np.clip(np.stack([be.payload_values, be.effective_values]), -1, 1))
-    new_seed = (be.seed * 1000003 + 1) & 0x7FFFFFFF
+    new_seed = child_seed(be.seed, 1)
     extra = _draw_perturbation(exact, nu, be.perturbation_mode, new_seed)
     eps_out = 4 * d * math.sqrt(max(be.eps, 0.0) / be.alpha) + nu
     return BlockEncoding(
@@ -281,7 +281,7 @@ def product_preamplified(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncodin
         eps=be1.eps + be2.eps,
         use_cost=be1.alpha * (be1.ancillas + be1.use_cost) + be2.alpha * (be2.ancillas + be2.use_cost),
         perturbation_mode=be1.perturbation_mode,
-        seed=(be1.seed * 1000003 + be2.seed + 1) & 0x7FFFFFFF,
+        seed=child_seed(be1.seed, be2.seed + 1),
         perturbation_values=eff - payload,
     )
 
@@ -326,7 +326,7 @@ def matrix_power(be: BlockEncoding, c: float, kappa: float, eps: float) -> Block
         eps=eps,
         use_cost=be.alpha * kappa * (be.ancillas + be.use_cost) * math.log(kappa / eps) ** 2,
         perturbation_mode=be.perturbation_mode,
-        seed=(be.seed * 1000003 + 7) & 0x7FFFFFFF,
+        seed=child_seed(be.seed, 7),
         perturbation_values=eff - payload,
     )
 

@@ -20,7 +20,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["stream", "rademacher_block"]
+__all__ = ["stream", "child_seed", "rademacher_block"]
 
 _MASK63 = 0x7FFFFFFFFFFFFFFF
 _MASK32 = 0xFFFFFFFF
@@ -53,6 +53,11 @@ def stream(seed: int, *indices: int) -> np.random.Generator:
     """
     key = [int(seed) & _MASK63, *(int(i) & _MASK63 for i in indices)]
     return np.random.default_rng(np.random.SeedSequence(key))
+
+
+def child_seed(seed: int, k: int) -> int:
+    """The seed of child k of a seed (a derived encoding or one repetition), in 31 bits."""
+    return (seed * 1000003 + k) & 0x7FFFFFFF
 
 
 def _words(value: int) -> list[int]:

@@ -1,13 +1,13 @@
 """Quantum-model spectral-sum estimators.
 
-Eight estimator pipelines assembled from the block-encoding algebra,
-the certified polynomial constructions, and the measurement
-primitives: the SVT log-determinant, Schatten-p norm, von Neumann
-entropy, and trace of inverse, plus four appendix log-determinant
-variants (SVE-based, Taylor, Chebyshev, quantum Monte Carlo).  Each
-run returns a report with the estimate, the exact oracle value, the
-guarantee form and bound, every derived parameter, and the query
-ledger.
+Nine estimators, listed with their input domains in ALGORITHMS, built
+from the block-encoding algebra, the certified polynomials and the
+measurement primitives: the SVT log-determinant (and its ||A|| >= 1
+form), Schatten-p norm, von Neumann entropy and trace of inverse, plus
+four appendix log-determinant variants (SVE-based, Taylor, Chebyshev,
+quantum Monte Carlo).  Each run returns a report with the estimate, the
+exact oracle value, the guarantee form and bound, every derived
+parameter, and the query ledger.
 
 The analysis underlying the parameter choices normalizes ||A|| = 1; at
 desk scale inputs are strict contractions, so cutoffs are placed at
@@ -21,12 +21,13 @@ reports record both the formula value and the value used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .matrix_core import SymmetricMatrix, exact_spectral_sum, with_spectrum
+from .matrix_core import SymmetricMatrix, exact_spectral_sum, unit_trace, with_spectrum
 from .polyapprox import (
     approx_inverse,
     approx_log,
@@ -44,20 +45,25 @@ from .qmodel import (
     sve_all,
 )
 from .measurement import (
+    MODES,
     Estimate,
     ae_rounds_for,
     amplitude_estimate,
     hadamard_test_estimate,
     inner_product_estimate,
+    median_amplify,
     median_reps,
     qmc_mean_estimate,
     trace_estimate_abs,
     trace_product_estimate,
 )
+from .rng import child_seed
 
 __all__ = [
+    "MODES",
     "AlgoConfig",
     "SpectralSumReport",
+    "Estimator",
     "logdet_svt",
     "logdet_edge_cases",
     "schatten_p",
@@ -90,9 +96,9 @@ class AlgoConfig:
     Attributes:
         eps: Target error in (0, 1).
         delta: Failure probability in (0, 1/2).
-        mode: Noise mode: "exact", "stochastic", or "adversarial".
+        mode: Noise mode, one of MODES.
         seed: Base RNG seed.
-        algorithm: Estimator name (see ALGORITHMS).
+        algorithm: Estimator name, a key of ALGORITHMS.
         p: Schatten exponent (positive integer), used by schatten_p.
         use_monomial_approx: Whether schatten_p replaces the exact
             monomial with its truncated Chebyshev expansion.
@@ -111,6 +117,10 @@ class AlgoConfig:
             raise ValueError("eps must lie in (0, 1)")
         if not (0 < self.delta < 0.5):
             raise ValueError("delta must lie in (0, 1/2)")
+        for name, choices in (("mode", MODES), ("algorithm", sorted(ALGORITHMS))):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(f"unknown {name} {value!r}: choose one of {', '.join(choices)}")
 
 
 @dataclass
@@ -256,56 +266,47 @@ def logdet_edge_cases(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     if norm < 1 - 1e-10:
         raise ValueError("||A|| < 1: use logdet_svt directly")
     w = A.spectral.eigenvalues
+    exact = exact_spectral_sum(A, "log")
     warnings: list = []
-    ledger = CostLedger()
     if abs(norm - 1.0) <= 1e-10:
         unit_mask = np.abs(w - 1.0) <= 1e-10
         m = int(np.sum(unit_mask))
         rest = np.asarray(w[~unit_mask])
-        exact = exact_spectral_sum(A, "log")
         if rest.size == 0:
-            est = Estimate(value=0.0, abs_error_bound=0.0, success_prob=1.0,
-                           queries_charged=1.0, seed=cfg.seed)
+            ledger = CostLedger()
             ledger.charge(1.0)
-            return SpectralSumReport(
-                algorithm="logdet_edge_cases", estimate=est, exact=exact,
-                guarantee="relative", guarantee_bound=cfg.eps,
-                parameters={"branch": "unit_norm", "multiplicity": m},
-                ledger=ledger, warnings=["identity spectrum: log-determinant is exactly 0"],
-            )
-        deflated = with_spectrum(np.diag(rest), rest, spd_flag=True)
-        sub = logdet_svt(deflated, cfg)
-        bound = cfg.eps * abs(sub.exact) if sub.exact is not None else sub.guarantee_bound
-        sub.parameters.update({"branch": "unit_norm", "multiplicity": m,
-                               "sigma_next": float(rest.max())})
-        return _report("logdet_edge_cases", cfg.seed, sub.estimate.value, exact, "relative",
-                       bound, sub.estimate.success_prob, sub.estimate.failed, sub.ledger,
-                       sub.parameters, warnings)
-    # ||A|| > 1: rescale to a contraction and undo the shift.
-    alpha_shift = norm / 0.5
-    scaled = with_spectrum(np.asarray(A.entries) / alpha_shift, w / alpha_shift, spd_flag=True)
-    if w[-1] < 1 < w[0]:
-        warnings.append("mixed-sign log terms: absolute guarantee only")
-    eps_inner = cfg.eps / math.log(2.0 * st.kappa)
-    sub = logdet_svt(scaled, AlgoConfig(eps=eps_inner, delta=cfg.delta, mode=cfg.mode,
-                                        seed=cfg.seed, algorithm="logdet_svt"))
-    value = sub.estimate.value + n * math.log(alpha_shift)
-    exact = exact_spectral_sum(A, "log")
-    sub.parameters.update({"branch": "rescale", "alpha_shift": alpha_shift,
-                           "eps_inner": eps_inner})
-    return _report("logdet_edge_cases", cfg.seed, value, exact, "absolute", n * cfg.eps,
+            return _report("logdet_edge_cases", cfg.seed, 0.0, exact, "relative", cfg.eps, 1.0,
+                           False, ledger, {"eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
+                                           "branch": "unit_norm", "multiplicity": m},
+                           ["identity spectrum: log-determinant is exactly 0"])
+        sub = logdet_svt(with_spectrum(np.diag(rest), rest, spd_flag=True), cfg)
+        value, guarantee, bound = sub.estimate.value, "relative", sub.guarantee_bound
+        branch = {"branch": "unit_norm", "multiplicity": m, "sigma_next": float(rest.max())}
+    else:  # ||A|| > 1: rescale to a contraction and undo the shift.
+        alpha_shift = norm / 0.5
+        scaled = with_spectrum(np.asarray(A.entries) / alpha_shift, w / alpha_shift, spd_flag=True)
+        if w[-1] < 1 < w[0]:
+            warnings.append("mixed-sign log terms: absolute guarantee only")
+        eps_inner = cfg.eps / math.log(2.0 * st.kappa)
+        sub = logdet_svt(scaled, replace(cfg, eps=eps_inner))
+        value = sub.estimate.value + n * math.log(alpha_shift)
+        guarantee, bound = "absolute", n * cfg.eps
+        branch = {"branch": "rescale", "alpha_shift": alpha_shift, "eps_inner": eps_inner}
+    sub.parameters.update(branch, eps=cfg.eps)
+    return _report("logdet_edge_cases", cfg.seed, value, exact, guarantee, bound,
                    sub.estimate.success_prob, sub.estimate.failed, sub.ledger,
                    sub.parameters, warnings)
 
 
-def schatten_p(A: SymmetricMatrix, p: int, cfg: AlgoConfig) -> SpectralSumReport:
-    """Schatten-p norm via powered block-encodings and product-trace estimation.
+def schatten_p(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
+    """Schatten-p norm, p = cfg.p, via powered block-encodings and product-trace estimation.
 
     Decomposes p = 4q + r, raises the preamplified encoding of
     B/2 = A^T A / 2 to the q-th power by SVT and to the r/4-th power by
     the fractional-power combinator, and estimates Tr[B^{p/2}]
     multiplicatively.  Relative eps guarantee.
     """
+    p = cfg.p
     if p < 1:
         raise ValueError("p must be a positive integer")
     _require_spd_contraction(A)
@@ -474,12 +475,12 @@ def logdet_sve(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     prob = min(1.0, max(0.0, prob))
     t = ae_rounds_for(eps2)
     reps = median_reps(cfg.delta)
-    vals, n_failed = [], 0
-    for rep in range(reps):
-        ae = amplitude_estimate(prob, t, cfg.mode, (cfg.seed * 1000003 + rep) & 0x7FFFFFFF)
-        vals.append(ae.value)
-        n_failed += ae.failed
-    p_hat = float(np.median(vals))
+
+    def draw(r):
+        ae = amplitude_estimate(prob, t, cfg.mode, child_seed(cfg.seed, r))
+        return ae.value, ae.failed
+
+    p_hat, failed = median_amplify(draw, reps)
     value = -(fro**2 / c_const**2) * p_hat
     exact = exact_spectral_sum(A, "log")
     warnings: list = []
@@ -489,7 +490,7 @@ def logdet_sve(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     ledger.charge(reps * t * per_round, sve_calls=reps * t, ae_rounds=reps * t)
     return _report(
         "logdet_sve", cfg.seed, value, exact, "relative", bound, 1.0 - cfg.delta,
-        n_failed * 2 > reps, ledger,
+        failed, ledger,
         {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "mu": mu, "kappa": kappa, "kappa_eff": kappa_eff,
@@ -523,12 +524,12 @@ def logdet_taylor(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     big_l = min(1.0, max(0.0, big_l))
     t = ae_rounds_for(eps2)
     reps = median_reps(cfg.delta)
-    vals, n_failed = [], 0
-    for rep in range(reps):
-        ae = amplitude_estimate(big_l, t, cfg.mode, (cfg.seed * 1000003 + rep) & 0x7FFFFFFF)
-        vals.append(ae.value)
-        n_failed += ae.failed
-    l_hat = float(np.median(vals))
+
+    def draw(r):
+        ae = amplitude_estimate(big_l, t, cfg.mode, child_seed(cfg.seed, r))
+        return ae.value, ae.failed
+
+    l_hat, failed = median_amplify(draw, reps)
     value = -m * n * l_hat
     exact = exact_spectral_sum(A, "log")
     lam_min = norm / kappa
@@ -540,7 +541,7 @@ def logdet_taylor(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     ledger.charge(reps * t * per_round, sve_calls=reps * t, ae_rounds=reps * t)
     return _report(
         "logdet_taylor", cfg.seed, value, exact, "absolute", bound, 1.0 - cfg.delta,
-        n_failed * 2 > reps, ledger,
+        failed, ledger,
         {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "kappa": kappa, "kappa_eff": kappa_eff, "m": m,
@@ -619,22 +620,24 @@ def logdet_qmc(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     b_bound = max(math.log(kappa_eff) ** 2 - 1.0, 1.0)
     eps_rel = cfg.eps / (2.0 * float(np.max(values)))
     reps = median_reps(cfg.delta)
-    vals, n_failed, queries = [], 0, 0.0
-    for rep in range(reps):
-        qmc = qmc_mean_estimate(values, b_bound, eps_rel,
-                                seed=(cfg.seed * 1000003 + rep) & 0x7FFFFFFF,
+    queries = 0.0
+
+    def draw(r):
+        nonlocal queries
+        qmc = qmc_mean_estimate(values, b_bound, eps_rel, seed=child_seed(cfg.seed, r),
                                 mode=cfg.mode, sampler_cost=oracle.cost_per_call)
-        vals.append(qmc.value)
-        n_failed += qmc.failed
         queries += qmc.queries_charged
-    value = -n * float(np.median(vals))
+        return qmc.value, qmc.failed
+
+    mean, failed = median_amplify(draw, reps)
+    value = -n * mean
     exact = exact_spectral_sum(A, "log")
     bound = n * cfg.eps
     ledger = CostLedger()
     ledger.charge(queries, sve_calls=queries / oracle.cost_per_call)
     return _report(
         "logdet_qmc", cfg.seed, value, exact, "absolute", bound, 1.0 - cfg.delta,
-        n_failed * 2 > reps, ledger,
+        failed, ledger,
         {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "kappa": kappa, "kappa_eff": kappa_eff,
@@ -644,24 +647,34 @@ def logdet_qmc(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     )
 
 
+class Estimator(NamedTuple):
+    """One entry of ALGORITHMS: an estimator and the input domain it takes.
+
+    The domain is "contraction" (SPD, ||A|| < 1), "density" (SPD, unit
+    trace) or "norm_at_least_one" (SPD, ||A|| >= 1).
+    """
+
+    run: Callable[[SymmetricMatrix, AlgoConfig], SpectralSumReport]
+    domain: str
+
+    def input(self, A: SymmetricMatrix) -> SymmetricMatrix:
+        """What this estimator runs on for an SPD A: A / Tr A on the density domain, else A."""
+        return unit_trace(A) if self.domain == "density" else A
+
+
 ALGORITHMS = {
-    "logdet_svt": logdet_svt,
-    "logdet_sve": logdet_sve,
-    "logdet_taylor": logdet_taylor,
-    "logdet_chebyshev": logdet_chebyshev,
-    "logdet_qmc": logdet_qmc,
-    "vn_entropy": vn_entropy,
-    "trace_inverse": trace_inverse,
+    "logdet_svt": Estimator(logdet_svt, "contraction"),
+    "logdet_edge_cases": Estimator(logdet_edge_cases, "norm_at_least_one"),
+    "schatten_p": Estimator(schatten_p, "contraction"),
+    "vn_entropy": Estimator(vn_entropy, "density"),
+    "trace_inverse": Estimator(trace_inverse, "contraction"),
+    "logdet_sve": Estimator(logdet_sve, "contraction"),
+    "logdet_taylor": Estimator(logdet_taylor, "contraction"),
+    "logdet_chebyshev": Estimator(logdet_chebyshev, "contraction"),
+    "logdet_qmc": Estimator(logdet_qmc, "contraction"),
 }
 
 
 def run_algorithm(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
-    """Dispatch a configured estimator run on a matrix."""
-    name = cfg.algorithm
-    if name.startswith("schatten"):
-        return schatten_p(A, cfg.p, cfg)
-    if name == "logdet_edge_cases":
-        return logdet_edge_cases(A, cfg)
-    if name not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm: {name!r}")
-    return ALGORITHMS[name](A, cfg)
+    """Run the estimator cfg.algorithm names on a matrix of its domain."""
+    return ALGORITHMS[cfg.algorithm].run(A, cfg)

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .baselines import ProbeConfig, hutchinson_trace
-from .matrix_core import SymmetricMatrix, generate_spd, unit_trace
+from .matrix_core import SymmetricMatrix, generate_spd
 from .measurement import ae_error_bound, amplitude_estimate
 from .polyapprox import (
     approx_inverse,
@@ -32,18 +32,17 @@ from .polyapprox import (
     taylor_logdet_degree,
 )
 from .rng import stream
-from .spectral_sums import AlgoConfig, run_algorithm
+from .spectral_sums import ALGORITHMS, AlgoConfig, run_algorithm
 
 __all__ = ["CriterionResult", "CRITERIA", "SUITES", "run_suite"]
 
 # Shared instance grid for the soundness criteria.
 _GRID_NK = [(n, k) for n in (32, 64, 128) for k in (5, 10, 50)]
 
-# Estimators exercised by the soundness criteria; schatten cycles p.
-_SOUND_ALGOS = [
-    "logdet_svt", "schatten_p", "vn_entropy", "trace_inverse",
-    "logdet_sve", "logdet_taylor", "logdet_chebyshev", "logdet_qmc",
-]
+# Estimators exercised by the soundness criteria: every one whose domain a
+# generated matrix reaches (vn_entropy through A / Tr A); schatten cycles p.
+_SOUND_ALGOS = [name for name, entry in ALGORITHMS.items()
+                if entry.domain != "norm_at_least_one"]
 
 # Scaling-law sweep windows: (algorithm, eps values, slope interval).
 _EPS_BASE = [0.01 * 2.0**-i for i in range(5)]
@@ -160,8 +159,7 @@ def _soundness_runs(mode: str, count: int, delta: float):
         for algo in _SOUND_ALGOS:
             cfg = AlgoConfig(eps=0.1, delta=delta, mode=mode, seed=2000 + i,
                              algorithm=algo, p=1 + i % 4)
-            target = unit_trace(A) if algo == "vn_entropy" else A
-            yield algo, run_algorithm(target, cfg)
+            yield algo, run_algorithm(ALGORITHMS[algo].input(A), cfg)
 
 
 def criterion_exact_soundness() -> CriterionResult:
@@ -214,8 +212,7 @@ def _sweep_queries(algo: str, A, eps_values, kappa=None) -> list:
     qs = []
     for e in eps_values:
         cfg = AlgoConfig(eps=e, mode="exact", seed=3, algorithm=algo, p=4)
-        target = unit_trace(A) if algo == "vn_entropy" else A
-        qs.append(run_algorithm(target, cfg).ledger.total_queries)
+        qs.append(run_algorithm(ALGORITHMS[algo].input(A), cfg).ledger.total_queries)
     return qs
 
 

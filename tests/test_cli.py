@@ -26,6 +26,20 @@ def matrix_prefix(tmp_path, runner):
     return prefix
 
 
+@pytest.fixture()
+def domain_paths(tmp_path, runner, matrix_prefix):
+    """A Matrix Market file of each input domain in the estimator table."""
+    unit = str(tmp_path / "unit")
+    res = runner.invoke(main, ["gen", "--n", "16", "--kappa", "10", "--norm", "1",
+                               "--seed", "1", "--out", unit])
+    assert res.exit_code == 0, res.output
+    rho = str(tmp_path / "rho.mtx")
+    A = matrix_core.load_matrix_market(matrix_prefix + ".mtx")
+    matrix_core.save_matrix_market(rho, matrix_core.unit_trace(A))
+    return {"contraction": matrix_prefix + ".mtx", "density": rho,
+            "norm_at_least_one": unit + ".mtx"}
+
+
 class TestGen:
     def test_sidecar_ground_truth_consistent(self, matrix_prefix):
         with open(matrix_prefix + ".json") as fh:
@@ -77,6 +91,12 @@ class TestEstimate:
                                    "--algorithm", "schatten_p", "--p", "3"])
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["algorithm"] == "schatten_3"
+
+    @pytest.mark.parametrize("name", sorted(spectral_sums.ALGORITHMS))
+    def test_every_algorithm_on_its_domain_input(self, domain_paths, runner, name):
+        path = domain_paths[spectral_sums.ALGORITHMS[name].domain]
+        res = runner.invoke(main, ["estimate", "--matrix", path, "--algorithm", name])
+        assert res.exit_code == 0, res.output
 
     def test_precondition_error_exits_two(self, matrix_prefix, runner):
         # vn_entropy requires unit trace; a generated SPD matrix has not.
@@ -206,7 +226,8 @@ def test_certification_error_exits_two(matrix_prefix, runner, monkeypatch, comma
     def uncertifiable(A, cfg):
         raise CertificationError("degree cap 1000 reached before eps")
 
-    monkeypatch.setitem(spectral_sums.ALGORITHMS, "logdet_svt", uncertifiable)
+    entry = spectral_sums.ALGORITHMS["logdet_svt"]._replace(run=uncertifiable)
+    monkeypatch.setitem(spectral_sums.ALGORITHMS, "logdet_svt", entry)
     if command == "estimate":
         args = ["estimate", "--matrix", matrix_prefix + ".mtx"]
     else:

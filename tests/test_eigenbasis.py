@@ -187,6 +187,11 @@ CASES = (
 )
 
 
+# Input kinds of each domain in ALGORITHMS.
+_DOMAIN_INPUTS = {"contraction": ("spd",), "density": ("density",),
+                  "norm_at_least_one": ("unit_norm", "above_one")}
+
+
 def _case_id(case):
     algorithm, p, kind = case
     return f"{algorithm}{p if algorithm == 'schatten_p' else ''}-{kind}"
@@ -360,9 +365,9 @@ class TestNoDenseWorkOnWarmMatrices:
     @pytest.mark.parametrize("mode", MODES)
     def test_each_quantum_estimator(self, counters, mode):
         inputs = _INPUTS[64]
-        cases = ([(name, 1, "density" if name == "vn_entropy" else "spd")
-                  for name in spectral_sums.ALGORITHMS]
-                 + [c for c in CASES if c[0] not in spectral_sums.ALGORITHMS])
+        cases = [(name, p, kind) for name, entry in spectral_sums.ALGORITHMS.items()
+                 for kind in _DOMAIN_INPUTS[entry.domain]
+                 for p in (range(1, 7) if name == "schatten_p" else (1,))]
         for M in inputs.values():
             M.stats
         for algorithm, p, kind in cases:  # warm the polynomial cache

@@ -9,6 +9,7 @@ from specsum.matrix_core import SymmetricMatrix, exact_spectral_sum, generate_sp
 from specsum.qmodel import CostLedger
 from specsum.spectral_sums import (
     ALGORITHMS,
+    MODES,
     AlgoConfig,
     _report,
     logdet_chebyshev,
@@ -34,6 +35,21 @@ def _density(n=32, kappa=10.0, seed=1):
     return SymmetricMatrix(n, rho, spd_flag=True)
 
 
+_UNIT_NORM = _matrix(16, norm=1.0)
+
+# Inputs of each domain in ALGORITHMS; the ||A|| >= 1 ones reach all three
+# logdet_edge_cases branches (deflation, identity spectrum, rescaling).
+_DOMAIN_INPUTS = {
+    "contraction": [_matrix()],
+    "density": [_density()],
+    "norm_at_least_one": [
+        _UNIT_NORM,
+        SymmetricMatrix(8, np.eye(8), spd_flag=True),
+        SymmetricMatrix(16, 3.0 * np.asarray(_UNIT_NORM.entries), spd_flag=True),
+    ],
+}
+
+
 class TestAlgoConfig:
     def test_defaults_valid(self):
         cfg = AlgoConfig()
@@ -44,6 +60,18 @@ class TestAlgoConfig:
     def test_invalid_ranges(self, kwargs):
         with pytest.raises(ValueError):
             AlgoConfig(**kwargs)
+
+    @pytest.mark.parametrize("algorithm", ["logdet_sve", "logdet_taylor", "logdet_qmc"])
+    def test_unknown_mode_names_the_choices(self, algorithm):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'") as exc:
+            run_algorithm(_matrix(), AlgoConfig(mode="bogus", algorithm=algorithm))
+        assert all(mode in str(exc.value) for mode in MODES)
+
+    @pytest.mark.parametrize("name", ["schatten_7", "schatten"])
+    def test_unknown_algorithm_names_the_choices(self, name):
+        with pytest.raises(ValueError, match=f"unknown algorithm '{name}'") as exc:
+            run_algorithm(_matrix(), AlgoConfig(algorithm=name, p=7))
+        assert all(known in str(exc.value) for known in ALGORITHMS)
 
 
 class TestLogdetSvt:
@@ -125,20 +153,20 @@ class TestSchattenP:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8])
     def test_relative_guarantee(self, p):
         A = _matrix(seed=p)
-        rep = schatten_p(A, p, AlgoConfig(eps=0.1))
+        rep = schatten_p(A, AlgoConfig(eps=0.1, p=p))
         exact = exact_spectral_sum(A, "x_pow_p", p=p) ** (1.0 / p)
         assert rep.exact == pytest.approx(exact)
         assert rep.passed
 
     def test_monomial_approx_path(self):
         A = _matrix()
-        rep = schatten_p(A, 8, AlgoConfig(eps=0.1, use_monomial_approx=True))
+        rep = schatten_p(A, AlgoConfig(eps=0.1, p=8, use_monomial_approx=True))
         assert "monomial_degree" in rep.parameters
         assert rep.passed
 
     def test_rejects_nonpositive_p(self):
         with pytest.raises(ValueError, match="positive"):
-            schatten_p(_matrix(), 0, AlgoConfig())
+            schatten_p(_matrix(), AlgoConfig(p=0))
 
 
 class TestSchattenAdversarialKnifeEdge:
@@ -148,7 +176,7 @@ class TestSchattenAdversarialKnifeEdge:
     @pytest.mark.parametrize("seed", range(40))
     def test_p1_adversarial_within_guarantee(self, seed):
         A = generate_spd(32, 10.0, "log_uniform", 0.5, seed)
-        rep = schatten_p(A, 1, AlgoConfig(eps=0.05, mode="adversarial"))
+        rep = schatten_p(A, AlgoConfig(eps=0.05, mode="adversarial", p=1))
         assert abs(rep.estimate.value - rep.exact) <= rep.guarantee_bound
         assert rep.passed
 
@@ -214,11 +242,10 @@ class TestAppendixVariants:
 
 class TestRunAlgorithm:
     def test_dispatch_table_covers_names(self):
-        A = _matrix()
-        for name in ALGORITHMS:
-            rep = run_algorithm(A, AlgoConfig(algorithm=name)) if name != "vn_entropy" \
-                else run_algorithm(_density(), AlgoConfig(algorithm=name))
-            assert rep.algorithm == name
+        for name, entry in ALGORITHMS.items():
+            for A in _DOMAIN_INPUTS[entry.domain]:
+                rep = run_algorithm(A, AlgoConfig(algorithm=name))
+                assert rep.algorithm == ("schatten_1" if name == "schatten_p" else name)
 
     def test_schatten_dispatch(self):
         rep = run_algorithm(_matrix(), AlgoConfig(algorithm="schatten_p", p=3))
@@ -227,6 +254,16 @@ class TestRunAlgorithm:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown"):
             run_algorithm(_matrix(), AlgoConfig(algorithm="logdet_magic"))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_report_states_the_request_and_one_bound(name, mode):
+    for A in _DOMAIN_INPUTS[ALGORITHMS[name].domain]:
+        rep = run_algorithm(A, AlgoConfig(eps=0.2, delta=0.1, mode=mode, seed=3, algorithm=name))
+        requested = {k: rep.parameters.get(k) for k in ("eps", "delta", "mode")}
+        assert requested == {"eps": 0.2, "delta": 0.1, "mode": mode}, rep.parameters
+        assert rep.estimate.abs_error_bound == rep.guarantee_bound
 
 
 class TestReport:
