@@ -1,33 +1,31 @@
 """Classical randomized baselines for spectral-sum estimation.
 
 Stochastic (Hutchinson) trace estimation combined with Taylor or
-Chebyshev matrix-function expansions applied through repeated dense
-matrix-vector products.  These estimators touch only matvecs -- no
-eigendecomposition -- and report a matvec ledger (one dense matvec is
-charged as n^2 unit operations) so their cost can be compared
+Chebyshev matrix-function expansions, the classical algorithms the
+quantum-model estimators are set against.  Each reports a matvec ledger
+that charges the modelled algorithm, d dense matvecs of n^2 unit
+operations per probe for a degree-d series, so its cost can be compared
 head-to-head with the quantum-model estimators' query ledgers.
 
-Every operator a series is evaluated at is symmetric with spectrum in
-[-1, 1], so a degree-d series needs only ceil(d/2) products: the
-Chebyshev moments z^T T_k z follow from T_{2j} = 2 T_j^2 - T_0 and
-T_{2j+1} = 2 T_j T_{j+1} - T_1, the Taylor terms z^T B^k z from
-<B^j z, B^j z> and <B^j z, B^{j+1} z>.  The products run on n x k
-blocks of probes, one matrix-matrix product per step rather than k
-matvecs.  The ledger still charges the modelled recurrence, d matvecs
-per probe for a degree-d series, probe by probe.  Probe i is drawn from
-the counter-based stream (seed, 29, i), so results are deterministic
-given the seed and independent of evaluation order and block size.
-`_probe` is the one per-probe definition and draws Gaussian probes; a
-block of Rademacher probes comes from `rng.rademacher_block` in one
-vectorised pass, equal bit for bit to stacking `_probe` over the block.
+The emulator does not run that recurrence: with A = Q diag(w) Q^T from
+A's cached `eigenbasis`, a sample is z^T p(A) z = sum_i p(w_i) (q_i^T z)^2,
+one product Q^T Z per block of probes whatever the degree.  Probe i is
+drawn from the counter-based stream (seed, 29, i), so results are
+deterministic given the seed and independent of evaluation order and
+block size.  `_probe` is the one per-probe definition and draws
+Gaussian probes; a block of Rademacher probes comes from
+`rng.rademacher_block` in one vectorised pass, equal bit for bit to
+stacking `_probe` over the block.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from .matrix_core import SymmetricMatrix, exact_spectral_sum
 from .measurement import Estimate
@@ -65,8 +63,7 @@ _HUTCH_C = 24.0
 # Stream index reserved for probe draws.
 _PROBE_STREAM = 29
 
-# Probes per block: bounds the n x k working set of the recurrences
-# whatever num_probes is.
+# Probes per block: bounds the n x k working set whatever num_probes is.
 _PROBE_BLOCK = 256
 
 
@@ -85,6 +82,8 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.num_probes, numbers.Integral):
+            raise ValueError(f"num_probes must be an integer, got {self.num_probes!r}")
         if self.num_probes < 1:
             raise ValueError("num_probes must be >= 1")
         if self.probe_kind not in ("rademacher", "gaussian"):
@@ -105,11 +104,6 @@ def _probe(n: int, kind: str, seed: int, index: int) -> np.ndarray:
     if kind == "rademacher":
         return 2.0 * rng.integers(0, 2, size=n) - 1.0
     return rng.standard_normal(n)
-
-
-def _coldot(Z: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Column-wise inner products z_j^T v_j of two n x k blocks."""
-    return np.einsum("ij,ij->j", Z, V)
 
 
 def _quadform_samples(qform, n: int, cfg: ProbeConfig) -> tuple[float, float]:
@@ -133,6 +127,29 @@ def _quadform_samples(qform, n: int, cfg: ProbeConfig) -> tuple[float, float]:
     if cfg.num_probes > 1:
         stderr = float(np.std(vals, ddof=1) / math.sqrt(cfg.num_probes))
     return mean, stderr
+
+
+def _spectral_quadform(A: SymmetricMatrix, p, cfg: ProbeConfig) -> tuple[float, float]:
+    """Mean and standard error of z^T p(A) z over the probe ensemble.
+
+    p maps the eigenvalues w of A to p(w).  With A = Q diag(w) Q^T a
+    block Z of probes costs one product Y = Q^T Z, and its samples are
+    p(w) @ (Y * Y).
+    """
+    w, Q = A.eigenbasis
+    pw = p(w)
+
+    def qform(Z):
+        Y = Q.T @ Z
+        np.square(Y, out=Y)
+        return pw @ Y
+
+    return _quadform_samples(qform, A.n, cfg)
+
+
+def _require_eps(eps: float) -> None:
+    if not (0 < eps < 1):
+        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
 
 
 def _success_prob(num_probes: int, eps: float) -> float:
@@ -187,32 +204,23 @@ def classical_logdet_taylor(A: SymmetricMatrix, eps: float,
                             cfg: ProbeConfig) -> SpectralSumReport:
     """Log-determinant by Hutchinson over the truncated Taylor series.
 
-    Estimates -sum_{k<=m} Tr[(I - A)^k]/k from ceil(m/2) products on
-    each block of probes, charging m matvecs per probe.  The truncation
-    order m targets relative error eps/2, leaving the other half of the
-    budget to the probe average.
+    Estimates -sum_{k<=m} Tr[(I - A)^k]/k, charging m matvecs per probe.
+    The truncation order m targets relative error eps/2, leaving the
+    other half of the budget to the probe average.
     """
+    _require_eps(eps)
     _require_spd_contraction(A)
     n = A.n
     kappa_eff = 1.0 / float(A.spectral.eigenvalues[-1])
     m = taylor_logdet_degree(kappa_eff, eps / 2.0)
-    mat = np.asarray(A.entries)
 
-    # With V = B^j Z for B = I - A: z^T B^{2j} z = <V, V> and
-    # z^T B^{2j+1} z = <V, B V>, so each product serves two terms.
-    def qform(Z):
-        V = Z
-        acc = np.zeros(Z.shape[1])
-        for k in range(1, m + 1):
-            if k % 2:
-                W = V - mat @ V
-                acc += _coldot(V, W) / k
-                V = W
-            else:
-                acc += _coldot(V, V) / k
+    def series(w):  # sum_{k<=m} (1 - w)^k / k by Horner's rule
+        acc = np.zeros_like(w)
+        for k in range(m, 0, -1):
+            acc = (acc + 1.0 / k) * (1.0 - w)
         return acc
 
-    mean, stderr = _quadform_samples(qform, n, cfg)
+    mean, stderr = _spectral_quadform(A, series, cfg)
     value = -mean
     exact = exact_spectral_sum(A, "log")
     bound = eps * abs(exact)
@@ -231,11 +239,12 @@ def classical_logdet_chebyshev(A: SymmetricMatrix, eps: float,
     """Log-determinant by Hutchinson over the Chebyshev log expansion.
 
     Applies the mapped-interval log coefficients at the affine image
-    (2A - I)/(1 - 2 delta) through the three-term recurrence on probe
-    vectors.  The per-dimension truncation target is
+    (2A - I)/(1 - 2 delta), charging d matvecs per probe for the modelled
+    three-term recurrence.  The per-dimension truncation target is
     (eps/2) * log(1/||A||), so the total truncation error stays below
     half the relative budget.
     """
+    _require_eps(eps)
     _require_spd_contraction(A)
     n = A.n
     norm = A.stats.spectral_norm
@@ -245,9 +254,8 @@ def classical_logdet_chebyshev(A: SymmetricMatrix, eps: float,
         raise ValueError("spectrum outside [delta, 1 - delta]")
     per_dim = eps / 2.0 * math.log(1.0 / norm)
     coeffs, d, trunc_per_n = chebyshev_logdet_setup(delta_c, per_dim)
-    mat = np.asarray(A.entries)
     scale = 1.0 / (1.0 - 2.0 * delta_c)
-    mean, stderr = _cheb_quadform(lambda V: scale * (2.0 * (mat @ V) - V), coeffs, n, cfg)
+    mean, stderr = _spectral_quadform(A, lambda w: chebval(scale * (2.0 * w - 1.0), coeffs), cfg)
     exact = exact_spectral_sum(A, "log")
     bound = eps * abs(exact)
     # Matvecs charged per probe: the modelled recurrence's one for T_1 and
@@ -270,13 +278,14 @@ def classical_entropy(rho: SymmetricMatrix, eps: float,
     Absolute eps guarantee: the certified series error is budgeted at
     eps/2 across the n eigenvalues, the probe average takes the rest.
     """
+    _require_eps(eps)
     _require_density(rho)
     n = rho.n
     beta = float(rho.spectral.eigenvalues[-1])
     big_l = math.log(2.0 / beta)
     eps1 = eps / (4.0 * n * big_l)
     series = entropy_poly(beta, eps1)
-    mean, stderr = _cheb_quadform(lambda V: rho.entries @ V, series.coefficients, n, cfg)
+    mean, stderr = _spectral_quadform(rho, series, cfg)
     value = 2.0 * big_l * mean
     exact = exact_spectral_sum(rho, "neg_xlogx")
     return _probe_report(
@@ -298,12 +307,13 @@ def classical_trace_inverse(A: SymmetricMatrix, eps: float,
     series tolerance eps1 = 3*eps*delta/16 keeps the unscaled
     polynomial error below (eps/2) per dimension.
     """
+    _require_eps(eps)
     _require_spd_contraction(A, strict=False)
     n = A.n
     delta_v = float(A.spectral.eigenvalues[-1])
     eps1 = 3.0 * eps * delta_v / 16.0
     series = approx_inverse(delta_v, eps1)
-    mean, stderr = _cheb_quadform(lambda V: A.entries @ V, series.coefficients, n, cfg)
+    mean, stderr = _spectral_quadform(A, series, cfg)
     value = 8.0 * mean / (3.0 * delta_v)
     exact = exact_spectral_sum(A, "inverse")
     bound = eps * exact
@@ -328,7 +338,9 @@ def classical_schatten_p(A: SymmetricMatrix, p: int, eps: float,
     d < p, and by the exact expansion otherwise.
     """
     if p < 1 or p != int(p):
-        raise ValueError("p must be a positive integer")
+        raise ValueError(f"p must be a positive integer, got {p!r}")
+    p = int(p)
+    _require_eps(eps)
     _require_spd_contraction(A, strict=False)
     n = A.n
     norm = A.stats.spectral_norm
@@ -336,7 +348,7 @@ def classical_schatten_p(A: SymmetricMatrix, p: int, eps: float,
     eps_m = eps / 2.0 * norm**p / n
     d = min(p, math.ceil(math.sqrt(2.0 * p * math.log(2.0 / eps_m))))
     series = approx_monomial(p, d)
-    mean, stderr = _cheb_quadform(lambda V: A.entries @ V, series.coefficients, n, cfg)
+    mean, stderr = _spectral_quadform(A, series, cfg)
     value = max(mean, 0.0) ** (1.0 / p)
     exact = exact_spectral_sum(A, "x_pow_p", p) ** (1.0 / p)
     bound = eps * exact
@@ -350,37 +362,3 @@ def classical_schatten_p(A: SymmetricMatrix, p: int, eps: float,
         },
     )
 
-
-def _cheb_quadform(op, coeffs: np.ndarray, n: int, cfg: ProbeConfig) -> tuple[float, float]:
-    """Hutchinson samples of z^T P(M) z from ceil(d/2) block products.
-
-    op maps an n x k block V to a new block M V, for the symmetric
-    operator M with spectrum in [-1, 1] that the degree-d series is
-    evaluated at.  The d + 1 moments mu_k = z^T T_k(M) z come from
-    T_{2j} = 2 T_j^2 - T_0 and T_{2j+1} = 2 T_j T_{j+1} - T_1:
-    mu_{2j} = 2 <T_j z, T_j z> - mu_0 and mu_{2j+1} = 2 <T_j z, T_{j+1} z> - mu_1,
-    so the three-term recurrence runs only to T_{ceil(d/2)}.  Callers
-    still charge the modelled d matvecs per probe.
-    """
-    d = len(coeffs) - 1
-
-    def qform(Z):
-        mu0 = _coldot(Z, Z)
-        acc = coeffs[0] * mu0
-        if d == 0:
-            return acc
-        t_prev, t_cur = Z, op(Z)
-        mu1 = _coldot(Z, t_cur)
-        acc += coeffs[1] * mu1
-        for k in range(2, d + 1):
-            if k % 2 == 0:
-                acc += coeffs[k] * (2.0 * _coldot(t_cur, t_cur) - mu0)
-            else:
-                t_next = op(t_cur)
-                t_next *= 2.0
-                t_next -= t_prev
-                acc += coeffs[k] * (2.0 * _coldot(t_cur, t_next) - mu1)
-                t_prev, t_cur = t_cur, t_next
-        return acc
-
-    return _quadform_samples(qform, n, cfg)

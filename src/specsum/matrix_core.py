@@ -3,7 +3,8 @@
 Provides the matrix representation shared by every estimator, the exact
 eigenvalue oracle used as ground truth, the encoding normalization
 mu(A), condition-number-controlled SPD test matrices, and Matrix Market
-I/O.  No pipeline reads an eigenvector, so none is computed.
+I/O.  Only the classical baselines read eigenvectors (``eigenbasis``);
+every other pipeline reads the ``eigvalsh`` eigenvalues (``spectral``).
 """
 
 from __future__ import annotations
@@ -75,6 +76,20 @@ class SymmetricMatrix:
         if "spectral" not in self._cache:
             self._cache["spectral"] = spectral_decompose(self)
         return self._cache["spectral"]
+
+    @property
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached read-only ``eigh`` (w, Q) of this matrix, entries = Q diag(w) Q^T.
+
+        Only the classical baselines read it.  It never touches ``spectral``,
+        so no other pipeline depends on whether a baseline ran first.
+        """
+        if "eigenbasis" not in self._cache:
+            w, q = np.linalg.eigh(self.entries)
+            w.setflags(write=False)
+            q.setflags(write=False)
+            self._cache["eigenbasis"] = (w, q)
+        return self._cache["eigenbasis"]
 
     @property
     def stats(self) -> "MatrixStats":

@@ -255,7 +255,8 @@ def logdet_edge_cases(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
 
     With ||A|| = 1, unit singular values are deflated and the SVT
     estimator runs on the remaining spectrum with a relative guarantee
-    on the deflated part.  With ||A|| > 1 the matrix is rescaled to a
+    on the deflated part; with every eigenvalue within 1e-10 of 1 it is 0,
+    with an absolute eps guarantee.  With ||A|| > 1 the matrix is rescaled to a
     contraction and the n log(alpha) shift is undone; the guarantee is
     absolute (n eps) because the shifted terms carry mixed signs.
     """
@@ -275,7 +276,7 @@ def logdet_edge_cases(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
         if rest.size == 0:
             ledger = CostLedger()
             ledger.charge(1.0)
-            return _report("logdet_edge_cases", cfg.seed, 0.0, exact, "relative", cfg.eps, 1.0,
+            return _report("logdet_edge_cases", cfg.seed, 0.0, exact, "absolute", cfg.eps, 1.0,
                            False, ledger, {"eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
                                            "branch": "unit_norm", "multiplicity": m},
                            ["identity spectrum: log-determinant is exactly 0"])

@@ -5,13 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from specsum import baselines
+from specsum import reporting
 from specsum.baselines import (
     ProbeConfig,
-    _cheb_quadform,
-    _coldot,
     _probe,
-    _quadform_samples,
+    _spectral_quadform,
     classical_entropy,
     classical_logdet_chebyshev,
     classical_logdet_taylor,
@@ -27,7 +25,7 @@ from specsum.polyapprox import (
     chebyshev_logdet_setup,
     entropy_poly,
 )
-from specsum.spectral_sums import AlgoConfig, vn_entropy
+from specsum.spectral_sums import ALGORITHMS, AlgoConfig, vn_entropy
 
 
 def _matrix(n=32, kappa=10.0, seed=1):
@@ -50,6 +48,10 @@ class TestProbeConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ProbeConfig(**kwargs)
+
+    def test_fractional_probe_count_names_the_cause(self):
+        with pytest.raises(ValueError, match="num_probes must be an integer, got 2.5"):
+            ProbeConfig(num_probes=2.5)
 
 
 class TestProbeCount:
@@ -291,82 +293,50 @@ class TestBlockedProbes:
         assert est.abs_error_bound == 3.0 * float(np.std(vals, ddof=1) / math.sqrt(600))
 
 
-class TestChebQuadform:
-    """Rademacher probes read a diagonal operator's trace exactly: z_i^2 = 1."""
+class TestSpectralQuadform:
+    """Rademacher probes read a diagonal operator's trace exactly: its
+    eigenbasis is the identity up to order and sign, and z_i^2 = 1."""
+
+    _W = np.random.default_rng(0).permutation(np.linspace(-0.9, 0.9, 7))
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 6, 7])
     def test_diagonal_trace_is_exact(self, degree):
-        d = np.linspace(-0.9, 0.9, 7)
         coeffs = np.random.default_rng(degree).standard_normal(degree + 1)
-        mean, stderr = _cheb_quadform(lambda V: d[:, None] * V, coeffs, d.size,
-                                      ProbeConfig(num_probes=5, seed=1))
-        assert mean == pytest.approx(float(np.sum(np.polynomial.chebyshev.chebval(d, coeffs))),
+        D = SymmetricMatrix(self._W.size, np.diag(self._W))
+        mean, stderr = _spectral_quadform(D, lambda w: np.polynomial.chebyshev.chebval(w, coeffs),
+                                          ProbeConfig(num_probes=5, seed=1))
+        assert mean == pytest.approx(float(np.sum(np.polynomial.chebyshev.chebval(self._W, coeffs))),
                                      rel=1e-12, abs=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("degree", range(8))
-    def test_half_the_block_products(self, degree):
-        d = np.linspace(-0.9, 0.9, 7)
-        calls = []
-
-        def op(V):
-            calls.append(V.shape)
-            return d[:, None] * V
-
-        _cheb_quadform(op, np.ones(degree + 1), d.size, ProbeConfig(num_probes=5, seed=1))
-        assert calls == [(d.size, 5)] * math.ceil(degree / 2)
-
-
-def _unfused_cheb_qform(op, coeffs):
-    """_cheb_quadform's qform with the step written as 2.0 * op(T_j) - T_{j-1}."""
-    d = len(coeffs) - 1
-
-    def qform(Z):
-        mu0 = _coldot(Z, Z)
-        acc = coeffs[0] * mu0
-        if d == 0:
-            return acc
-        t_prev, t_cur = Z, op(Z)
-        mu1 = _coldot(Z, t_cur)
-        acc += coeffs[1] * mu1
-        for k in range(2, d + 1):
-            if k % 2 == 0:
-                acc += coeffs[k] * (2.0 * _coldot(t_cur, t_cur) - mu0)
-            else:
-                t_prev, t_cur = t_cur, 2.0 * op(t_cur) - t_prev
-                acc += coeffs[k] * (2.0 * _coldot(t_prev, t_cur) - mu1)
-        return acc
-
-    return qform
+    def test_taylor_diagonal_both_parities(self):
+        w = np.linspace(0.05, 0.5, 6)
+        D = SymmetricMatrix(w.size, np.diag(w), spd_flag=True)
+        cfg = ProbeConfig(num_probes=5, seed=1)
+        orders = set()
+        for eps in (0.3, 0.29):  # m = 98 and 99
+            rep = classical_logdet_taylor(D, eps, cfg)
+            m = rep.parameters["m"]
+            orders.add(m % 2)
+            series = sum(float(np.sum((1.0 - w) ** k)) / k for k in range(1, m + 1))
+            assert rep.estimate.value == pytest.approx(-series, rel=1e-12)
+            assert rep.parameters["stderr"] == pytest.approx(0.0, abs=1e-12)
+        assert orders == {0, 1}
 
 
-# 25 cells: three estimators over n, kappa and the probe count, plus one
-# entropy cell (its series runs to degree 1,329 there and beyond 3,000 in
-# the others).
-_IN_PLACE_CELLS = [
-    (name, n, kappa, num_probes)
-    for name in ("chebyshev", "schatten", "trace_inverse")
-    for n in (64, 256) for kappa in (2.0, 10.0) for num_probes in (64, 256)
-] + [("entropy", 64, 2.0, 64)]
+class TestEntropyLongSeries:
+    """classical_entropy on series of thousands of degrees, at one seed."""
 
+    CFG = ProbeConfig(num_probes=64, seed=7)
 
-class TestInPlaceStep:
-    """The in-place step (op, then *= 2 and -= T_{j-1}) is bitwise the unfused one."""
+    def test_n256_within_guarantee(self):
+        rep = classical_entropy(_density(n=256, kappa=10.0), 0.2, self.CFG)
+        assert rep.parameters["degree_used"] > 5000
+        assert abs(rep.estimate.value - rep.exact) <= rep.guarantee_bound
 
-    @pytest.mark.parametrize("name, n, kappa, num_probes", _IN_PLACE_CELLS)
-    def test_bitwise_equal_to_unfused(self, monkeypatch, name, n, kappa, num_probes):
-        pairs = []
-
-        def both(op, coeffs, n, cfg):
-            fused = _cheb_quadform(op, coeffs, n, cfg)
-            pairs.append((fused, _quadform_samples(_unfused_cheb_qform(op, coeffs), n, cfg)))
-            return fused
-
-        monkeypatch.setattr(baselines, "_cheb_quadform", both)
-        A = _density(n=n, kappa=kappa) if name == "entropy" else _matrix(n=n, kappa=kappa)
-        _ESTIMATORS[name](A, 0.1, ProbeConfig(num_probes=num_probes, seed=5))
-        assert len(pairs) == 1
-        assert pairs[0][0] == pairs[0][1]
+    def test_n64_matches_per_probe_loop(self):
+        rep = TestBlockedProbes._check("entropy", _density(n=64, kappa=10.0), 0.2, self.CFG)
+        assert rep.parameters["degree_used"] > 1000
 
 
 # The SPD baselines, with the contraction each requires: strict (||A|| < 1)
@@ -413,3 +383,75 @@ class TestInputChecks:
         rho = SymmetricMatrix(len(diag), np.diag(diag), spd_flag=True)
         with pytest.raises(ValueError, match=match):
             estimator(rho)
+
+    def test_integral_float_p_is_accepted(self):
+        A, cfg = _matrix(), ProbeConfig(num_probes=16, seed=2)
+        assert (reporting.report_json(classical_schatten_p(A, 3.0, 0.1, cfg))
+                == reporting.report_json(classical_schatten_p(A, 3, 0.1, cfg)))
+
+    def test_fractional_p_names_the_cause(self):
+        with pytest.raises(ValueError, match="p must be a positive integer, got 2.5"):
+            classical_schatten_p(_matrix(), 2.5, 0.1, ProbeConfig(num_probes=4))
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, 2.0, -0.1])
+    @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+    def test_eps_outside_unit_interval(self, name, eps):
+        A = _density() if name == "entropy" else _matrix()
+        with pytest.raises(ValueError, match="eps must lie in \\(0, 1\\)"):
+            _ESTIMATORS[name](A, eps, ProbeConfig(num_probes=4))
+
+
+def _eigh_counter(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestEigenbasis:
+    """The baselines' cached eigenbasis, and its independence from `spectral`."""
+
+    def test_one_eigh_per_matrix_across_requests(self, monkeypatch):
+        calls = _eigh_counter(monkeypatch)
+        A, rho = _matrix(n=16), _density(n=16)
+        for seed in range(3):
+            for name, run in _ESTIMATORS.items():
+                run(rho if name == "entropy" else A, 0.3, ProbeConfig(num_probes=8, seed=seed))
+        assert calls == [(16, 16), (16, 16)]
+
+    def test_read_only_decomposition_beside_spectral(self):
+        A = _matrix(n=16)
+        w, Q = A.eigenbasis
+        assert "spectral" not in A._cache
+        assert not w.flags.writeable and not Q.flags.writeable
+        np.testing.assert_allclose((Q * w) @ Q.T, A.entries, atol=1e-14)
+        np.testing.assert_allclose(np.sort(w)[::-1], A.spectral.eigenvalues, rtol=1e-12)
+
+    @staticmethod
+    def _run_baselines(M, domain):
+        cfg = ProbeConfig(num_probes=4, seed=1)
+        if domain == "density":
+            classical_entropy(M, 0.3, cfg)
+        elif domain == "contraction":
+            for run in _SPD_ESTIMATORS.values():
+                run(M, 0.3, cfg)
+        else:  # no baseline takes ||A|| >= 1: read what one would
+            M.eigenbasis
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_quantum_reports_independent_of_baselines(self, name, monkeypatch):
+        est = ALGORITHMS[name]
+        cap = 1.0 if est.domain == "norm_at_least_one" else 0.5
+        cold, warm = (est.input(generate_spd(16, 4.0, "log_uniform", cap, 2)) for _ in range(2))
+        self._run_baselines(warm, est.domain)
+        assert "eigenbasis" in warm._cache
+        cfg = AlgoConfig(algorithm=name, mode="stochastic", seed=3, p=3)
+        calls = _eigh_counter(monkeypatch)
+        assert (reporting.report_json(est.run(warm, cfg))
+                == reporting.report_json(est.run(cold, cfg)))
+        assert calls == [] and "eigenbasis" not in cold._cache

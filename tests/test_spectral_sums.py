@@ -123,6 +123,18 @@ class TestLogdetEdgeCases:
         assert rep.exact == 0.0
         assert any("identity" in w for w in rep.warnings)
 
+    @pytest.mark.parametrize("w", [np.ones(8), 1.0 + 1e-11 * np.array([1, 1, 1, 1, 1, -1, -1, -1])],
+                             ids=["exact", "within_1e-10"])
+    def test_identity_spectrum_absolute_guarantee(self, w):
+        # exact is 0 or about 2e-11, so a relative bound eps * |exact| could
+        # not hold for the estimate 0.
+        rep = logdet_edge_cases(SymmetricMatrix(8, np.diag(w), spd_flag=True), AlgoConfig(eps=0.1))
+        assert rep.parameters["branch"] == "unit_norm"
+        assert rep.estimate.value == 0.0
+        assert rep.guarantee == "absolute"
+        assert rep.guarantee_bound == rep.estimate.abs_error_bound == 0.1
+        assert rep.passed
+
     def test_unit_norm_deflation(self):
         w = np.concatenate([[1.0, 1.0], np.linspace(0.1, 0.5, 6)])
         A = SymmetricMatrix(8, np.diag(w), spd_flag=True)
