@@ -9,13 +9,11 @@ head-to-head with the quantum-model estimators' query ledgers.
 
 The emulator does not run that recurrence: with A = Q diag(w) Q^T from
 A's cached `eigenbasis`, a sample is z^T p(A) z = sum_i p(w_i) (q_i^T z)^2,
-one product Q^T Z per block of probes whatever the degree.  Probe i is
-drawn from the counter-based stream (seed, 29, i), so results are
-deterministic given the seed and independent of evaluation order and
-block size.  `_probe` is the one per-probe definition and draws
-Gaussian probes; a block of Rademacher probes comes from
-`rng.rademacher_block` in one vectorised pass, equal bit for bit to
-stacking `_probe` over the block.
+one product Q^T Z per block of probes whatever the degree.  The probes
+are the consecutive rows of one counter-based stream (seed, 29): numpy
+draws them entry by entry, so probe i depends only on (seed, i), and
+results are deterministic given the seed and independent of block size
+and probe count.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .polyapprox import (
     taylor_logdet_degree,
 )
 from .qmodel import CostLedger
-from .rng import rademacher_block, stream
+from .rng import stream
 from .spectral_sums import (
     SpectralSumReport,
     _report,
@@ -47,7 +45,6 @@ from .spectral_sums import (
 
 __all__ = [
     "ProbeConfig",
-    "probe_count",
     "hutchinson_trace",
     "classical_logdet_taylor",
     "classical_logdet_chebyshev",
@@ -66,6 +63,12 @@ _PROBE_STREAM = 29
 # Probes per block: bounds the n x k working set whatever num_probes is.
 _PROBE_BLOCK = 256
 
+# Probe kind -> draw of k probes of n entries, one probe per row.
+_DRAWS = {
+    "rademacher": lambda rng, k, n: 2.0 * rng.integers(0, 2, size=(k, n)) - 1.0,
+    "gaussian": lambda rng, k, n: rng.standard_normal((k, n)),
+}
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
@@ -74,7 +77,8 @@ class ProbeConfig:
     Attributes:
         num_probes: Number of independent probe vectors (>= 1).
         probe_kind: "rademacher" (i.i.d. +-1 entries) or "gaussian".
-        seed: Base RNG seed; probe i is drawn from stream (seed, i).
+        seed: Base RNG seed; probe i is row i of the draws from
+            stream (seed, 29).
     """
 
     num_probes: int = 128
@@ -86,24 +90,8 @@ class ProbeConfig:
             raise ValueError(f"num_probes must be an integer, got {self.num_probes!r}")
         if self.num_probes < 1:
             raise ValueError("num_probes must be >= 1")
-        if self.probe_kind not in ("rademacher", "gaussian"):
+        if self.probe_kind not in _DRAWS:
             raise ValueError(f"unknown probe kind: {self.probe_kind!r}")
-
-
-def probe_count(eps: float, delta: float) -> int:
-    """Probes for relative error eps on a PSD trace w.p. >= 1 - delta."""
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
-    if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
-    return math.ceil(_HUTCH_C * math.log(2.0 / delta) / eps**2)
-
-
-def _probe(n: int, kind: str, seed: int, index: int) -> np.ndarray:
-    rng = stream(seed, _PROBE_STREAM, index)
-    if kind == "rademacher":
-        return 2.0 * rng.integers(0, 2, size=n) - 1.0
-    return rng.standard_normal(n)
 
 
 def _quadform_samples(qform, n: int, cfg: ProbeConfig) -> tuple[float, float]:
@@ -112,15 +100,9 @@ def _quadform_samples(qform, n: int, cfg: ProbeConfig) -> tuple[float, float]:
     qform maps an n x k block of probes (one probe per column) to the k
     quadratic forms; probes are fed in blocks of at most _PROBE_BLOCK.
     """
-    blocks = []
-    for start in range(0, cfg.num_probes, _PROBE_BLOCK):
-        stop = min(start + _PROBE_BLOCK, cfg.num_probes)
-        if cfg.probe_kind == "rademacher":
-            Z = rademacher_block(n, cfg.seed, _PROBE_STREAM, start, stop)
-        else:
-            Z = np.stack([_probe(n, cfg.probe_kind, cfg.seed, i) for i in range(start, stop)],
-                         axis=1)
-        blocks.append(qform(Z))
+    rng, draw = stream(cfg.seed, _PROBE_STREAM), _DRAWS[cfg.probe_kind]
+    blocks = [qform(draw(rng, min(_PROBE_BLOCK, cfg.num_probes - start), n).T)
+              for start in range(0, cfg.num_probes, _PROBE_BLOCK)]
     vals = np.concatenate(blocks)
     mean = float(np.mean(vals))
     stderr = 0.0

@@ -565,6 +565,7 @@ def chebyshev_logdet_coeffs(delta: float, d: int) -> np.ndarray:
     return _project(lambda y: np.log(half * y + 0.5), d)
 
 
+@lru_cache(maxsize=256)
 def chebyshev_logdet_setup(delta: float, eps: float):
     """Chebyshev log-determinant coefficients and truncation degree.
 
@@ -580,7 +581,7 @@ def chebyshev_logdet_setup(delta: float, eps: float):
         eps: Per-dimension truncation error target.
 
     Returns:
-        Tuple (coefficients c_0..c_d, d, achieved bound).
+        Tuple (read-only coefficients c_0..c_d, d, achieved bound).
     """
     if not (0 < delta < 0.5):
         raise ValueError("delta must lie in (0, 1/2)")
@@ -593,4 +594,6 @@ def chebyshev_logdet_setup(delta: float, eps: float):
         d += 1
         if d > 10**6:
             raise CertificationError("chebyshev truncation degree exceeds cap")
-    return chebyshev_logdet_coeffs(delta, d), d, bound
+    coeffs = chebyshev_logdet_coeffs(delta, d)
+    coeffs.setflags(write=False)
+    return coeffs, d, bound

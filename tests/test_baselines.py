@@ -7,8 +7,8 @@ import pytest
 
 from specsum import reporting
 from specsum.baselines import (
+    _PROBE_STREAM,
     ProbeConfig,
-    _probe,
     _spectral_quadform,
     classical_entropy,
     classical_logdet_chebyshev,
@@ -16,7 +16,6 @@ from specsum.baselines import (
     classical_schatten_p,
     classical_trace_inverse,
     hutchinson_trace,
-    probe_count,
 )
 from specsum.matrix_core import SymmetricMatrix, exact_spectral_sum, generate_spd
 from specsum.polyapprox import (
@@ -25,6 +24,7 @@ from specsum.polyapprox import (
     chebyshev_logdet_setup,
     entropy_poly,
 )
+from specsum.rng import stream
 from specsum.spectral_sums import ALGORITHMS, AlgoConfig, vn_entropy
 
 
@@ -52,14 +52,6 @@ class TestProbeConfig:
     def test_fractional_probe_count_names_the_cause(self):
         with pytest.raises(ValueError, match="num_probes must be an integer, got 2.5"):
             ProbeConfig(num_probes=2.5)
-
-
-class TestProbeCount:
-    def test_formula(self):
-        assert probe_count(0.1, 0.05) == math.ceil(24 * math.log(40) / 0.01)
-
-    def test_monotone_in_eps(self):
-        assert probe_count(0.05, 0.1) > probe_count(0.1, 0.1)
 
 
 class TestHutchinsonTrace:
@@ -169,7 +161,11 @@ class TestClassicalOthers:
 # number of matvecs applied across all probes.
 
 def _ref_probes(n, cfg):
-    return [_probe(n, cfg.probe_kind, cfg.seed, i) for i in range(cfg.num_probes)]
+    """The probes drawn one row at a time from the ensemble's one stream."""
+    rng = stream(cfg.seed, _PROBE_STREAM)
+    if cfg.probe_kind == "rademacher":
+        return [2.0 * rng.integers(0, 2, size=n) - 1.0 for _ in range(cfg.num_probes)]
+    return [rng.standard_normal(n) for _ in range(cfg.num_probes)]
 
 
 def _ref_taylor(mat, m, probes):
@@ -291,6 +287,25 @@ class TestBlockedProbes:
         assert seen == {(n,)}
         assert est.value == float(np.mean(vals))
         assert est.abs_error_bound == 3.0 * float(np.std(vals, ddof=1) / math.sqrt(600))
+
+    @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+    def test_probe_i_depends_only_on_seed_and_i(self, kind):
+        """A short run sees the first probes of a long one, whose 600 probes
+        cross two block edges and equal row-by-row draws of the stream."""
+        def probes(num_probes):
+            seen = []
+
+            def matvec(v):
+                seen.append(v.copy())
+                return v
+
+            hutchinson_trace(matvec, 6, ProbeConfig(num_probes, kind, seed=5))
+            return np.array(seen)
+
+        short, long = probes(7), probes(600)
+        assert np.array_equal(short, long[:7])
+        ref = _ref_probes(6, ProbeConfig(600, kind, seed=5))
+        assert np.array_equal(long, np.array(ref))
 
 
 class TestSpectralQuadform:

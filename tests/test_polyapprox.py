@@ -170,6 +170,14 @@ class TestChebyshevLogdetSetup:
         assert errs[1] < errs[0] * 0.1
         assert errs[2] < errs[1] * 0.01
 
+    def test_cached_and_read_only(self):
+        chebyshev_logdet_setup.cache_clear()
+        first = chebyshev_logdet_setup(0.137, 1e-4)
+        assert chebyshev_logdet_setup(0.137, 1e-4) is first
+        assert chebyshev_logdet_setup.cache_info().hits == 1
+        with pytest.raises(ValueError):
+            first[0][0] = 0.0
+
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
             chebyshev_logdet_setup(0.6, 0.1)
