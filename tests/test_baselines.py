@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from specsum import reporting
+from specsum import baselines, reporting
 from specsum.baselines import (
     _PROBE_STREAM,
     ProbeConfig,
+    _quadform_samples,
     _spectral_quadform,
     classical_entropy,
     classical_logdet_chebyshev,
@@ -292,20 +293,50 @@ class TestBlockedProbes:
     def test_probe_i_depends_only_on_seed_and_i(self, kind):
         """A short run sees the first probes of a long one, whose 600 probes
         cross two block edges and equal row-by-row draws of the stream."""
-        def probes(num_probes):
-            seen = []
-
-            def matvec(v):
-                seen.append(v.copy())
-                return v
-
-            hutchinson_trace(matvec, 6, ProbeConfig(num_probes, kind, seed=5))
-            return np.array(seen)
-
-        short, long = probes(7), probes(600)
+        short = _seen_probes(6, ProbeConfig(7, kind, seed=5))
+        long = _seen_probes(6, ProbeConfig(600, kind, seed=5))
         assert np.array_equal(short, long[:7])
         ref = _ref_probes(6, ProbeConfig(600, kind, seed=5))
         assert np.array_equal(long, np.array(ref))
+
+
+def _seen_probes(n, cfg):
+    """The probes hutchinson_trace applies its matvec to, in order."""
+    seen = []
+
+    def matvec(v):
+        seen.append(v.copy())
+        return v
+
+    hutchinson_trace(matvec, n, cfg)
+    return np.array(seen)
+
+
+class TestProbeStream:
+    """Probe i is row i of stream(seed, 29) for odd and even dimensions,
+    seeds at the edges of the 63-bit key, and any block size."""
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**32 + 7, 2**63 - 1])
+    @pytest.mark.parametrize("n", [1, 3, 64, 257])
+    @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+    def test_blocked_draws_equal_row_draws(self, kind, n, seed):
+        cfg = ProbeConfig(600, kind, seed)
+        assert np.array_equal(_seen_probes(n, cfg), np.array(_ref_probes(n, cfg)))
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+    def test_independent_of_block_size(self, kind, block, monkeypatch):
+        n, cfg = 5, ProbeConfig(300, kind, seed=11)
+        blocks = []
+
+        def qform(Z):
+            blocks.append(Z.copy())
+            return np.zeros(Z.shape[1])
+
+        monkeypatch.setattr(baselines, "_PROBE_BLOCK", block)
+        _quadform_samples(qform, n, cfg)
+        assert max(Z.shape[1] for Z in blocks) == min(block, cfg.num_probes)
+        assert np.array_equal(np.hstack(blocks).T, np.array(_ref_probes(n, cfg)))
 
 
 class TestSpectralQuadform:
