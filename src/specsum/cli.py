@@ -10,8 +10,9 @@ Exit codes follow the CI contract: 0 when all guarantees are met, 1
 when an estimate lands outside its guarantee, 2 on usage or
 precondition errors.  All floats are printed with 17 significant
 digits and every command is deterministic given its flags and seeds;
-the SPECSUM_THREADS environment variable sets the sweep worker count
-without affecting output bytes.
+the SPECSUM_THREADS environment variable, a positive integer (default
+1), sets the sweep worker count without affecting output bytes; any
+other value is a usage error.
 """
 
 from __future__ import annotations
@@ -45,10 +46,14 @@ def _g17(x: float) -> str:
 
 
 def _thread_count() -> int:
+    text = os.environ.get("SPECSUM_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("SPECSUM_THREADS", "1")))
+        count = int(text)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise click.UsageError(f"SPECSUM_THREADS must be a positive integer, got {text!r}")
+    return count
 
 
 def _load_spd(path) -> SymmetricMatrix:
@@ -171,6 +176,7 @@ def estimate(matrix_path, algorithm, eps, delta, mode, seed, p,
 def sweep(n, kappa, profile, norm, matrix_seed, algorithm, axis, values,
           seeds, eps, delta, mode, p, out):
     """Sweep one axis, write a CSV, and print a log-log slope fit."""
+    threads = _thread_count()
     if axis == "p" and algorithm != "schatten_p":
         raise click.UsageError(f"--axis p sweeps the Schatten order, which {algorithm} "
                                "does not read; use --algorithm schatten_p")
@@ -213,7 +219,7 @@ def sweep(n, kappa, profile, norm, matrix_seed, algorithm, axis, values,
         for v, _ in cells:  # build matrices and fill their caches serially so workers only read
             A = matrix_for(v)
             A.spectral, A.stats
-        with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(run_cell, cells))
     except (ValueError, CertificationError) as exc:
         raise click.UsageError(str(exc))

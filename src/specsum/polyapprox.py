@@ -26,8 +26,12 @@ and keeps only the latest; the candidates of one chop revisit few M.
 Each candidate is first evaluated at the interval's two end points, in
 closed form: if that error alone, with the grid margin, exceeds eps,
 the candidate fails without its DCT, which is the decision the full
-error would give.  Values that reach a series are computed by the same
-floating-point operations as without the reuse and the screen.
+error would give.  An odd series (the inverse) is decided on the nodes
+of x > 0 alone, by one DCT-II of length M/2; within a guard band of the
+thresholds, where rounding could flip the decision, the DCT-I decides,
+and only the accepted degree is measured by it.  Values that reach a
+series are computed by the same floating-point operations as without
+the reuse, the screen and the half grid.
 
 A series carries two degrees.  ``degree_used`` is the degree of the
 stored coefficients, which sets the cost of evaluating it; ``degree`` is
@@ -174,12 +178,15 @@ class _Grid:
     cos(pi j / M), the mask of those inside the interval and the target
     there are built once per M.  Only the latest M is kept, which bounds
     the memory by one grid.  The end points' arccos and target values
-    do not depend on M and are built once.
+    do not depend on M and are built once.  An odd grid keeps only the
+    nodes j < M/2, with the same bits: they hold all of (a, b) for the
+    a > 0 that odd series are certified on.
     """
 
-    def __init__(self, target, interval: tuple):
+    def __init__(self, target, interval: tuple, odd: bool = False):
         self.target = target
         self.a, self.b = interval
+        self.odd = odd
         ends = np.array([self.a, self.b], dtype=float)
         self.end_angles = np.arccos(ends)
         self.end_values = target(ends)
@@ -187,7 +194,7 @@ class _Grid:
 
     def _nodes(self, m: int) -> tuple:
         if m != self.m:
-            x = np.cos(np.arange(m + 1) * (np.pi / m))
+            x = np.cos(np.arange(m // 2 if self.odd else m + 1) * (np.pi / m))
             self.inside = (x > self.a) & (x < self.b)
             self.values = self.target(x[self.inside])
             self.m = m
@@ -199,7 +206,8 @@ class _Grid:
         p_ends = np.cos(np.outer(self.end_angles, np.arange(len(c)))) @ c
         return float(np.max(np.abs(p_ends - self.end_values)))
 
-    def measure(self, c: np.ndarray, end_err: float | None = None, degree: int = 0) -> tuple:
+    def measure(self, c: np.ndarray, end_err: float | None = None, degree: int = 0,
+                half: bool = False) -> tuple:
         """Sup error against the target, and a bound on sup |P| on [-1, 1].
 
         P = sum c_k T_k is evaluated by one DCT-I on the extrema
@@ -213,15 +221,23 @@ class _Grid:
         for the chopped terms that dominate P - target between grid
         points.  The global bound is the smaller of the grid maximum of
         |P| times 1/cos(pi/32) and sum |c_k|, both bounds on sup |P|.
+        With half set (odd grid, odd P), P(x_j) for j < M/2 is one DCT-II
+        of length M/2 over (c_1, c_3, ...) / 2, and max |P| there is max
+        |P| over the grid; the values differ from the DCT-I's by rounding.
         """
         d = max(degree, len(c) - 1)
         m = 1 << (_OVERSAMPLE * (d + 1) - 1).bit_length()
-        v = np.zeros(m + 1)
-        v[: len(c)] = c
-        v[1 : len(c)] *= 0.5  # the rest of v[1:m] is zero, and m > len(c)
-        p = dct(v, type=1, overwrite_x=True)
+        if half:
+            v = np.zeros(m // 2)
+            v[: len(c) // 2] = 0.5 * c[1::2]
+            p = dct(v, type=2, overwrite_x=True)
+        else:
+            v = np.zeros(m + 1)
+            v[: len(c)] = c
+            v[1 : len(c)] *= 0.5  # the rest of v[1:m] is zero, and m > len(c)
+            p = dct(v, type=1, overwrite_x=True)
         inside, values = self._nodes(m)
-        dev = p[inside]
+        dev = p[: len(inside)][inside]
         dev -= values
         np.abs(dev, out=dev)
         if end_err is None:
@@ -259,9 +275,13 @@ def _certify(
     most 1/2.  One whose end-point error alone, times the grid margin,
     exceeds eps fails before its DCT: the full error is at least that.
     The charged degree is the larger of degree0 and the certified one.
+    If odd, the half grid decides a screened-in candidate unless its
+    error lies within tau = 1e-9 max(1, sum |c_k|) of eps or its bound
+    within tau of 1/2, where the DCT-I decides; tau is over 10^6 times
+    their rounding gap.  Only the accepted degree then gets a DCT-I.
     """
     a, b = interval
-    grid = _Grid(target, interval)
+    grid = _Grid(target, interval, odd)
     degree0 = max(4, int(degree0))
     cap = _CAP_FACTOR * degree0
     d_top = degree0
@@ -271,10 +291,17 @@ def _certify(
             c[0::2] = 0.0
 
         def attempt(d):
+            """(d, err, gbound) if the chop to degree d certifies, else None;
+            err and gbound are None when the half grid decided."""
             chop = c[: d + 1]
             end_err = grid.end_error(chop)
             if _GRID_MARGIN * end_err > eps:
                 return None
+            if odd:
+                err, gbound = grid.measure(chop, end_err, half=True)
+                tau = 1e-9 * max(1.0, float(np.sum(np.abs(chop))))
+                if min(abs(err - eps), abs(gbound - 0.5)) > tau:
+                    return (d, None, None) if err <= eps and gbound <= 0.5 else None
             err, gbound = grid.measure(chop, end_err)
             return (d, err, gbound) if err <= eps and gbound <= 0.5 else None
 
@@ -300,6 +327,8 @@ def _certify(
                 else:
                     hi, best = mid, cand
             d, err, gbound = best
+            if err is None:
+                err, gbound = grid.measure(c[: d + 1])
             return ChebyshevSeries(
                 degree=max(degree0, d),
                 coefficients=c[: d + 1],

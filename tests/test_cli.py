@@ -209,6 +209,28 @@ class TestSweep:
         assert f"which {algorithm} does not read" in res.output
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_count_exits_two(self, tmp_path, runner, monkeypatch, threads):
+        monkeypatch.setenv("SPECSUM_THREADS", threads)
+        res = runner.invoke(main, ["sweep", "--n", "16", "--algorithm", "logdet_svt",
+                                   "--axis", "eps", "--values", "0.1,0.05",
+                                   "--out", str(tmp_path / "s.csv")])
+        assert res.exit_code == 2, res.output
+        assert f"SPECSUM_THREADS must be a positive integer, got '{threads}'" in res.output
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_two_threads_give_the_same_bytes(self, tmp_path, runner, monkeypatch):
+        args = ["sweep", "--n", "16", "--algorithm", "logdet_svt", "--axis", "eps",
+                "--values", "0.1,0.05", "--seeds", "2", "--mode", "stochastic", "--out"]
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SPECSUM_THREADS", threads)
+            out = tmp_path / f"s{threads}.csv"
+            res = runner.invoke(main, args + [str(out)])
+            assert res.exit_code == 0, res.output
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_vn_entropy_sweeps_unit_trace_matrices(self, tmp_path, runner):
         out = tmp_path / "s.csv"
         res = runner.invoke(main, ["sweep", "--n", "16", "--algorithm", "vn_entropy",

@@ -359,6 +359,13 @@ _CELLS = [(0.5, 0.1), (0.25, 1e-2), (0.1, 1e-3), (1 / 32, 1e-4), (0.0566, 0.0031
           (0.1682, 0.00317), (0.0743, 0.00632), (0.5, 1e-6), (0.1, 1e-6), (0.5, 1e-10)]
 
 
+# The (delta, eps1) trace_inverse derives at n = 256, eps 0.0105, for the
+# kappa-40 and kappa-80 matrices of the cold-cells workload at seed 1: grids
+# of 2^17 and 2^19 points.
+_TAIL_CELLS = [(0.005524271728019908, 2.157918643757779e-05),
+               (0.0027621358640099545, 1.0789593218788897e-05)]
+
+
 def _build_all():
     out = []
     for beta, eps in _CELLS:
@@ -384,29 +391,58 @@ class TestSameBytesAsReference:
         assert any(text.startswith("could not certify") for text in got)
         assert got == expected
 
+    @pytest.mark.parametrize("delta, eps", _TAIL_CELLS)
+    def test_inverse_matches_reference_on_large_grids(self, monkeypatch, delta, eps):
+        _clear_caches()
+        with monkeypatch.context() as m:
+            m.setattr(polyapprox, "_certify", _ref_certify)
+            m.setattr(polyapprox, "_measure", _ref_measure)
+            expected = approx_inverse(delta, eps).to_json()
+        _clear_caches()
+        got = approx_inverse(delta, eps)
+        _clear_caches()
+        assert _grid_size(got.degree_used) >= 2**17
+        assert got.to_json() == expected
+
     @pytest.mark.parametrize("build, beta, eps, attempts, transforms", [
         (approx_log, 0.0566, 0.00317, 7, 4),
-        (approx_inverse, 0.1682, 0.00317, 6, 4),
+        (approx_inverse, 0.1682, 0.00317, 6, 1),
         (approx_sqrt, 0.0743, 0.00632, 4, 2),
     ])
     def test_end_point_screen_skips_transforms(self, monkeypatch, build, beta, eps,
                                                attempts, transforms):
-        """Candidates whose end-point error alone fails get no DCT-I.
+        """Candidates whose end-point error alone fails get no transform.
 
         Each cell has a candidate whose end-point error lies within eps but
         above eps over the grid margin, so the margin is part of the count.
+        Every other candidate gets one DCT-I of M + 1 points, or, for the
+        odd inverse, one DCT-II of M/2 points; the inverse then runs one
+        DCT-I, for the accepted degree.  The candidates are the reference
+        certifier's, in its order.
         """
-        ref_calls, dct_calls = [], []
+        candidates, events = [], []
 
-        def ref_counting(*args, **kwargs):
-            ref_calls.append(1)
-            return _ref_measure(*args, **kwargs)
+        def ref_counting(c, target, interval, degree=0):
+            end_err = polyapprox._Grid(target, interval).end_error(c)
+            candidates.append((len(c) - 1, polyapprox._GRID_MARGIN * end_err <= eps))
+            return _ref_measure(c, target, interval, degree)
 
-        real_dct = polyapprox.dct
+        real_dct, real_end, real_project = (polyapprox.dct, polyapprox._Grid.end_error,
+                                            polyapprox._project)
 
-        def dct_counting(x, type=2, **kwargs):
-            dct_calls.append(type)
+        def dct_logging(x, type=2, **kwargs):
+            events.append((f"dct{type}", len(x)))
             return real_dct(x, type=type, **kwargs)
+
+        def end_logging(grid, c):
+            events.append(("end_error", len(c) - 1))
+            return real_end(grid, c)
+
+        def project_unlogged(f, degree):
+            n = len(events)
+            out = real_project(f, degree)
+            del events[n:]
+            return out
 
         _clear_caches()
         with monkeypatch.context() as m:
@@ -414,9 +450,75 @@ class TestSameBytesAsReference:
             m.setattr(polyapprox, "_measure", ref_counting)
             expected = build(beta, eps).to_json()
         _clear_caches()
-        monkeypatch.setattr(polyapprox, "dct", dct_counting)
-        got = build(beta, eps).to_json()
+        monkeypatch.setattr(polyapprox, "dct", dct_logging)
+        monkeypatch.setattr(polyapprox._Grid, "end_error", end_logging)
+        monkeypatch.setattr(polyapprox, "_project", project_unlogged)
+        got = build(beta, eps)
         _clear_caches()
-        assert got == expected
-        assert len(ref_calls) == attempts
-        assert dct_calls.count(1) == transforms
+        assert got.to_json() == expected
+        assert len(candidates) == attempts
+
+        odd = build is approx_inverse
+        want = []
+        for d, screened_in in candidates:
+            want.append(("end_error", d))
+            if screened_in:
+                m = _grid_size(d)
+                want.append(("dct2", m // 2) if odd else ("dct1", m + 1))
+        if odd:
+            want += [("dct1", _grid_size(got.degree_used) + 1), ("end_error", got.degree_used)]
+        assert events == want
+        assert sum(kind == "dct1" for kind, _ in events) == transforms
+
+
+def _grid_size(d):
+    return 1 << (polyapprox._OVERSAMPLE * (d + 1) - 1).bit_length()
+
+
+class TestHalfGrid:
+    """The odd grid's half-length DCT-II against the full DCT-I."""
+
+    @pytest.mark.parametrize("log_m", range(4, 20))
+    def test_half_nodes_have_the_full_grid_bits(self, log_m):
+        m = 2**log_m
+        full = np.cos(np.arange(m + 1) * (np.pi / m))
+        half = np.cos(np.arange(m // 2) * (np.pi / m))
+        assert np.array_equal(half, full[: m // 2])
+        assert full[m // 2] < 1e-16  # the first node left out: below any cutoff in use
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(2, 400),
+           rate=st.floats(0.8, 0.999), scale=st.floats(0.2, 2.0),
+           a=st.floats(1e-3, 0.5), log_eps=st.floats(math.log(1e-9), math.log(0.5)),
+           tie=st.booleans())
+    def test_half_decision_is_the_full_one(self, seed, length, rate, scale, a, log_eps, tie):
+        rng = np.random.default_rng(seed)
+        c = np.zeros(length)
+        c[1::2] = rng.uniform(-1.0, 1.0, length // 2) * rate ** np.arange(1, length, 2)
+        c *= scale / np.sum(np.abs(c))
+        # The target is P plus a small odd perturbation, so grid errors span
+        # the range of eps.
+        d = int(rng.integers(1, length))
+        shift = np.zeros(length)
+        shift[1::2] = rng.uniform(-1e-6, 1e-6, length // 2)
+        grid = polyapprox._Grid(lambda x: cheb.chebval(x, c + shift), (a, 1.0), odd=True)
+        chop = c[: d + 1]
+        err_f, gb_f = grid.measure(chop)
+        err_h, gb_h = grid.measure(chop, half=True)
+        eps = err_f if tie else math.exp(log_eps)
+        tau = 1e-9 * max(1.0, float(np.sum(np.abs(chop))))
+        assert abs(err_h - err_f) <= tau and abs(gb_h - gb_f) <= tau
+        decided = min(abs(err_h - eps), abs(gb_h - 0.5)) > tau
+        if decided:
+            assert (err_h <= eps and gb_h <= 0.5) == (err_f <= eps and gb_f <= 0.5)
+        assert not (tie and decided)
+
+        m = _grid_size(d)
+        v = np.zeros(m // 2)
+        v[: len(chop) // 2] = 0.5 * chop[1::2]
+        w = np.zeros(m + 1)
+        w[: len(chop)] = chop
+        w[1 : len(chop)] *= 0.5
+        p_half, p_full = dct(v, type=2), dct(w, type=1)
+        assert np.max(np.abs(p_half - p_full[: m // 2])) <= tau
+        assert np.max(np.abs(p_half)) == pytest.approx(np.max(np.abs(p_full)), abs=tau)
