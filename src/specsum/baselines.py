@@ -173,13 +173,15 @@ def hutchinson_trace(matvec, n: int, cfg: ProbeConfig,
 
 def _probe_report(name, value, bound, guarantee, exact, cfg, stderr, matvecs, n,
                   parameters) -> SpectralSumReport:
-    """The report of a probe run, charging each matvec as n^2 unit operations."""
-    ledger = CostLedger()
-    ledger.charge(matvecs * float(n * n))
-    parameters = dict(parameters, num_probes=cfg.num_probes, probe_kind=cfg.probe_kind,
-                      stderr=stderr, matvecs=matvecs)
-    return _report(name, cfg.seed, value, exact, guarantee, bound,
-                   parameters["success_prob"], False, ledger, parameters)
+    """The report of a probe run, charging each matvec as n^2 unit operations.
+
+    Its success level is the probe concentration at half the target parameters["eps"].
+    """
+    success = _success_prob(cfg.num_probes, parameters["eps"] / 2.0)
+    parameters = dict(parameters, success_prob=success, num_probes=cfg.num_probes,
+                      probe_kind=cfg.probe_kind, stderr=stderr, matvecs=matvecs)
+    return _report(name, cfg.seed, value, exact, guarantee, bound, success, False,
+                   CostLedger(total_queries=matvecs * float(n * n)), parameters)
 
 
 def classical_logdet_taylor(A: SymmetricMatrix, eps: float,
@@ -208,11 +210,7 @@ def classical_logdet_taylor(A: SymmetricMatrix, eps: float,
     bound = eps * abs(exact)
     return _probe_report(
         "classical_logdet_taylor", value, bound, "relative", exact, cfg,
-        stderr, m * cfg.num_probes, n,
-        {
-            "eps": eps, "m": m, "kappa_eff": kappa_eff,
-            "success_prob": _success_prob(cfg.num_probes, eps / 2.0),
-        },
+        stderr, m * cfg.num_probes, n, {"eps": eps, "m": m, "kappa_eff": kappa_eff},
     )
 
 
@@ -248,7 +246,6 @@ def classical_logdet_chebyshev(A: SymmetricMatrix, eps: float,
         {
             "eps": eps, "d": d, "delta_margin": delta_c,
             "truncation_per_n": trunc_per_n,
-            "success_prob": _success_prob(cfg.num_probes, eps / 2.0),
         },
     )
 
@@ -276,7 +273,6 @@ def classical_entropy(rho: SymmetricMatrix, eps: float,
         {
             "eps": eps, "eps1": eps1, "degree": series.degree, "degree_used": series.degree_used,
             "rescale_log": big_l,
-            "success_prob": _success_prob(cfg.num_probes, eps / 2.0),
         },
     )
 
@@ -305,7 +301,6 @@ def classical_trace_inverse(A: SymmetricMatrix, eps: float,
         {
             "eps": eps, "eps1": eps1, "delta": delta_v,
             "degree": series.degree, "degree_used": series.degree_used,
-            "success_prob": _success_prob(cfg.num_probes, eps / 2.0),
         },
     )
 
@@ -340,7 +335,6 @@ def classical_schatten_p(A: SymmetricMatrix, p: int, eps: float,
         {
             "eps": eps, "p": p, "degree": series.degree, "degree_used": series.degree_used,
             "truncation_per_eig": series.certified_sup_error,
-            "success_prob": _success_prob(cfg.num_probes, eps / 2.0),
         },
     )
 

@@ -145,16 +145,19 @@ def load_matrix_market(path) -> SymmetricMatrix:
         SymmetricMatrix with the file contents.
 
     Raises:
-        ValueError: On non-square input, non-finite entries or asymmetry
-            beyond tolerance.
+        ValueError: On empty or non-square input, non-finite entries or
+            asymmetry beyond tolerance.
     """
+    # The header alone settles the shape; scipy's reader crashes on a 0 x 0 array body.
+    rows, cols = scipy.io.mminfo(path)[:2]
+    if rows == 0 or rows != cols:
+        raise ValueError(f"matrix market file must hold a non-empty square matrix, "
+                         f"got shape {rows} x {cols}")
     m = scipy.io.mmread(path)
     if scipy.sparse.issparse(m):
         m = m.toarray()
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix market file is not square")
-    gap = np.max(np.abs(m - m.T)) if m.size else 0.0
+    gap = np.max(np.abs(m - m.T))
     # A non-finite gap means non-finite entries, which SymmetricMatrix
     # rejects by name.
     if np.isfinite(gap) and gap > SYMMETRY_TOL:
@@ -188,10 +191,10 @@ def generate_spd(n: int, kappa: float, profile: str, norm_cap: float, seed: int)
         SymmetricMatrix with spd_flag set.
 
     Raises:
-        ValueError: On kappa < 1, n < 2, or an unknown profile.
+        ValueError: On a non-finite kappa or kappa < 1, n < 2, or an unknown profile.
     """
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
+    if not (math.isfinite(kappa) and kappa >= 1):
+        raise ValueError(f"kappa must be >= 1 and finite, got {kappa!r}")
     if n < 2:
         raise ValueError("n must be >= 2")
     if not (0 < norm_cap <= 1):

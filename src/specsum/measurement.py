@@ -9,6 +9,14 @@ the same seed are bit-identical.
 
 Success amplification (`median_amplify`) takes the median of
 ceil(18 ln(1/delta)) independent repetitions of the base primitive.
+
+Each primitive alone computes its counts and reports them on its
+Estimate, and estimators build their ledgers from them: ``reps``
+repetitions, whose median is the value, of ``rounds`` amplitude-
+estimation rounds (or Hadamard-test samples) each.  The product-trace,
+inner-product and Monte Carlo primitives share one stochastic failure
+draw (`_contract_draw`): within eps with the primitive's success
+probability, else flagged with magnitude uniform in [1, worst] * eps.
 """
 
 from __future__ import annotations
@@ -60,6 +68,9 @@ class Estimate:
         seed: Stream seed the draw was keyed by.
         failed: Whether a failure branch was taken (stochastic mode
             bookkeeping; the returned value then carries no guarantee).
+        reps: Number of repetitions whose median is the value.
+        rounds: Amplitude-estimation rounds, or Hadamard-test samples,
+            in one repetition (0 for a primitive that has none).
     """
 
     value: float
@@ -68,6 +79,8 @@ class Estimate:
     queries_charged: float
     seed: int
     failed: bool = False
+    reps: int = 1
+    rounds: int = 0
 
 
 def median_reps(delta: float) -> int:
@@ -84,6 +97,18 @@ def median_amplify(draw, reps: int) -> tuple[float, bool]:
     """
     draws = [draw(r) for r in range(reps)]
     return float(np.median([v for v, _ in draws])), sum(f for _, f in draws) * 2 > reps
+
+
+def _contract_draw(rng, success: float, worst: float) -> tuple[float, bool]:
+    """One stochastic contract draw (u, failed), the error being eps * u.
+
+    With probability success u is uniform in [-1, 1]; otherwise the draw
+    is flagged and |u| is uniform in [1, worst] with a fair sign.
+    """
+    if rng.random() < success:
+        return rng.uniform(-1.0, 1.0), False
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    return sign * rng.uniform(1.0, worst), True
 
 
 def ae_rounds_for(eps: float) -> int:
@@ -158,6 +183,7 @@ def amplitude_estimate(a: float, t: int, mode: str = "exact", seed: int = 0,
         queries_charged=t * unit_cost,
         seed=seed,
         failed=failed,
+        rounds=t,
     )
 
 
@@ -203,6 +229,8 @@ def trace_estimate_abs(be: BlockEncoding, eps: float, seed: int = 0,
         queries_charged=reps * t * be.use_cost,
         seed=seed,
         failed=failed,
+        reps=reps,
+        rounds=t,
     )
 
 
@@ -247,11 +275,8 @@ def trace_product_estimate(be: BlockEncoding, eps: float, seed: int = 0,
             return true_val, False
         if be.perturbation_mode == "adversarial":
             return true_val * (1.0 + max(eps - _ROUNDING_SLACK, 0.5 * eps)), False
-        rng = stream(seed, 0xB, r)
-        if rng.random() < 2.0 / 3.0:
-            return true_val * (1.0 + eps * rng.uniform(-1.0, 1.0)), False
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        return true_val * (1.0 + sign * eps * rng.uniform(1.0, 2.0)), True
+        u, failed = _contract_draw(stream(seed, 0xB, r), 2.0 / 3.0, 2.0)
+        return true_val * (1.0 + eps * u), failed
 
     value, failed = median_amplify(draw, reps)
     per_rep = be.use_cost * math.sqrt(n) / eps * polylog(n)
@@ -262,6 +287,7 @@ def trace_product_estimate(be: BlockEncoding, eps: float, seed: int = 0,
         queries_charged=reps * per_rep,
         seed=seed,
         failed=failed,
+        reps=reps,
     )
 
 
@@ -297,11 +323,8 @@ def inner_product_estimate(psi_amp: float, eps: float, delta: float,
             return psi_amp, False
         if mode == "adversarial":
             return psi_amp + eps, False
-        rng = stream(seed, 0xC, r)
-        if rng.random() < BRASSARD_SUCCESS:
-            return psi_amp + eps * rng.uniform(-1.0, 1.0), False
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        return psi_amp + sign * eps * rng.uniform(1.0, 3.0), True
+        u, failed = _contract_draw(stream(seed, 0xC, r), BRASSARD_SUCCESS, 3.0)
+        return psi_amp + eps * u, failed
 
     value, failed = median_amplify(draw, reps)
     return Estimate(
@@ -311,8 +334,9 @@ def inner_product_estimate(psi_amp: float, eps: float, delta: float,
         queries_charged=reps * t * unit_cost,
         seed=seed,
         failed=failed,
+        reps=reps,
+        rounds=t,
     )
-
 
 
 def hadamard_test_estimate(
@@ -346,7 +370,6 @@ def hadamard_test_estimate(
     if not (0 < eps <= 2.0):
         raise ValueError("eps must lie in (0, 2]")
     n_samp = math.ceil(2.0 * math.log(2.0 / delta) / eps**2)
-    queries = 2.0 * n_samp * unit_cost
     if mode == "exact":
         value, failed = overlap, False
     elif mode == "adversarial":
@@ -362,9 +385,10 @@ def hadamard_test_estimate(
         value=value,
         abs_error_bound=eps,
         success_prob=1.0 - delta,
-        queries_charged=queries,
+        queries_charged=2.0 * n_samp * unit_cost,
         seed=seed,
         failed=failed,
+        rounds=n_samp,
     )
 
 
@@ -399,19 +423,13 @@ def qmc_mean_estimate(values, B: float, eps: float, seed: int = 0,
     ratio = float(np.var(v)) / mean**2
     if ratio > B + 1e-12:
         raise ValueError(f"Var/E^2 = {ratio:.4f} exceeds the claimed bound B = {B:.4f}")
-    failed = False
     if mode == "exact":
-        value = mean
+        value, failed = mean, False
     elif mode == "adversarial":
-        value = mean * (1.0 + eps)
+        value, failed = mean * (1.0 + eps), False
     elif mode == "stochastic":
-        rng = stream(seed, 0xD)
-        if rng.random() < 0.75:
-            value = mean * (1.0 + eps * rng.uniform(-1.0, 1.0))
-        else:
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            value = mean * (1.0 + sign * eps * rng.uniform(1.0, 2.0))
-            failed = True
+        u, failed = _contract_draw(stream(seed, 0xD), 0.75, 2.0)
+        value = mean * (1.0 + eps * u)
     else:
         raise ValueError(f"unknown mode: {mode!r}")
     return Estimate(

@@ -25,6 +25,12 @@ use cost exactly as the corresponding lemmas prescribe, so the cost
 ledger of any composite equals the lemma cost expression evaluated on
 its inputs.
 
+Singular-value estimation is one vectorised draw over all n singular
+values (``sve_values``): exact, rounded half to even onto the grid of
+spacing eps1 (adversarial), or value j shifted by eps1 times a uniform
+draw in [-1, 1] from its own stream (seed, j) (stochastic).
+``sve_cost`` is the query cost of one SVE call.
+
 Cost convention: one application of the matrix-access unitary costs one
 query unit; polylog(n) factors are fixed to ceil(log2 n)^2 uniformly.
 """
@@ -42,15 +48,14 @@ from .rng import child_seed, stream
 
 __all__ = [
     "BlockEncoding",
-    "SveOracle",
     "CostLedger",
     "polylog",
     "qram_block_encoding",
     "apply_svt",
     "product_preamplified",
     "matrix_power",
-    "sve_estimate",
-    "sve_all",
+    "sve_values",
+    "sve_cost",
 ]
 
 
@@ -61,7 +66,7 @@ def polylog(n: int) -> float:
 
 @dataclass
 class CostLedger:
-    """Accumulated abstract query costs of one estimator run.
+    """Abstract query costs of one estimator run.
 
     Attributes:
         be_uses: Number of block-encoding applications.
@@ -74,13 +79,6 @@ class CostLedger:
     sve_calls: float = 0.0
     ae_rounds: float = 0.0
     total_queries: float = 0.0
-
-    def charge(self, queries: float, be_uses: float = 0.0, sve_calls: float = 0.0,
-               ae_rounds: float = 0.0) -> None:
-        self.total_queries += queries
-        self.be_uses += be_uses
-        self.sve_calls += sve_calls
-        self.ae_rounds += ae_rounds
 
     def as_dict(self) -> dict:
         return {
@@ -331,62 +329,19 @@ def matrix_power(be: BlockEncoding, c: float, kappa: float, eps: float) -> Block
     )
 
 
-@dataclass(frozen=True)
-class SveOracle:
-    """Emulated singular-value estimation with additive precision.
-
-    Attributes:
-        source: Spectral data supplying the true singular values.
-        precision: Additive error bound eps1.
-        mode: "exact", "grid_round" (deterministic rounding to a grid
-            of spacing eps1), or "stochastic" (bounded uniform noise).
-        seed: Noise stream seed.
-        mu: Encoding normalization of the underlying matrix; each call
-            charges mu/eps1 * polylog(n) query units.
-    """
-
-    source: SpectralData
-    precision: float
-    mode: str
-    seed: int
-    mu: float
-
-    @property
-    def n(self) -> int:
-        return len(self.source.singular_values)
-
-    @property
-    def cost_per_call(self) -> float:
-        return (self.mu / self.precision) * polylog(self.n)
+def sve_values(source: SpectralData, precision: float, mode: str, seed: int) -> np.ndarray:
+    """source's singular values, each estimated within precision eps1 as the module docstring says."""
+    sv = np.array(source.singular_values, dtype=float)
+    if mode == "exact":
+        return sv
+    if mode == "adversarial":
+        return np.round(sv / precision) * precision
+    if mode == "stochastic":
+        u = np.array([stream(seed, j).uniform(-1.0, 1.0) for j in range(sv.shape[0])])
+        return sv + precision * u
+    raise ValueError(f"unknown SVE mode: {mode!r}")
 
 
-def sve_estimate(oracle: SveOracle, j: int) -> float:
-    """Estimate the j-th singular value within the oracle's precision.
-
-    Args:
-        oracle: SVE oracle.
-        j: Index into the descending singular values.
-
-    Returns:
-        sigma_tilde with |sigma_tilde - sigma_j| <= precision.
-
-    Raises:
-        IndexError: If j is out of range.
-    """
-    if not (0 <= j < oracle.n):
-        raise IndexError(f"singular value index {j} out of range")
-    sigma = float(oracle.source.singular_values[j])
-    eps1 = oracle.precision
-    if oracle.mode == "exact":
-        return sigma
-    if oracle.mode == "grid_round":
-        return round(sigma / eps1) * eps1
-    if oracle.mode == "stochastic":
-        u = stream(oracle.seed, j).uniform(-1.0, 1.0)
-        return sigma + eps1 * u
-    raise ValueError(f"unknown SVE mode: {oracle.mode!r}")
-
-
-def sve_all(oracle: SveOracle) -> np.ndarray:
-    """All singular-value estimates as an array (one call per index)."""
-    return np.array([sve_estimate(oracle, j) for j in range(oracle.n)])
+def sve_cost(mu: float, precision: float, n: int) -> float:
+    """Query units of one SVE call at precision eps1: mu/eps1 * polylog(n)."""
+    return (mu / precision) * polylog(n)

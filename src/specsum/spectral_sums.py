@@ -36,13 +36,14 @@ from .polyapprox import (
     entropy_poly,
 )
 from .qmodel import (
+    BlockEncoding,
     CostLedger,
-    SveOracle,
     apply_svt,
     matrix_power,
     product_preamplified,
     qram_block_encoding,
-    sve_all,
+    sve_cost,
+    sve_values,
 )
 from .measurement import (
     MODES,
@@ -188,6 +189,29 @@ def _report(algorithm: str, seed: int, value: float, exact: float | None, guaran
                              warnings=[] if warnings is None else warnings)
 
 
+def _svt_ledger(est: Estimate, be: BlockEncoding) -> CostLedger:
+    """The ledger of an SVT estimator measured by est: each query is one use of the qram encoding be."""
+    return CostLedger(be_uses=est.queries_charged / be.use_cost, ae_rounds=est.reps * est.rounds,
+                      total_queries=est.queries_charged)
+
+
+def _median_amplitude(a: float, t: int, reps: int, cfg: AlgoConfig,
+                      round_cost: float) -> tuple[float, bool, CostLedger]:
+    """(median, failed, ledger) of reps amplitude estimates of a with t rounds each.
+
+    Repetition r draws on child seed r; each round is one SVE call of round_cost queries.
+    """
+
+    def draw(r):
+        ae = amplitude_estimate(a, t, cfg.mode, child_seed(cfg.seed, r))
+        return ae.value, ae.failed
+
+    value, failed = median_amplify(draw, reps)
+    calls = reps * t
+    return value, failed, CostLedger(sve_calls=calls, ae_rounds=calls,
+                                     total_queries=calls * round_cost)
+
+
 def _relative_bound(eps: float, exact: float | None, n: int, norm: float, warnings: list):
     """Absolute bound for a relative-eps guarantee on a log-determinant."""
     if exact is not None:
@@ -229,13 +253,9 @@ def logdet_svt(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     exact = exact_spectral_sum(A, "log")
     warnings: list = []
     bound = _relative_bound(cfg.eps, exact, n, norm, warnings)
-    ledger = CostLedger()
-    reps = median_reps(cfg.delta)
-    t = ae_rounds_for(eps2)
-    ledger.charge(ipe.queries_charged, be_uses=reps * t * (series.degree + 1), ae_rounds=reps * t)
     return _report(
         "logdet_svt", cfg.seed, value, exact, "relative", bound, 1.0 - 2.0 * cfg.delta,
-        ipe.failed, ledger,
+        ipe.failed, _svt_ledger(ipe, be),
         {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "alpha": alpha, "kappa": kappa, "spectral_norm": norm,
@@ -244,7 +264,7 @@ def logdet_svt(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
             "eps3_formula": eps23_formula, "eps3_used": eps3,
             "rescale_log": big_l, "degree": series.degree, "degree_used": series.degree_used,
             "poly_sup_error": series.certified_sup_error,
-            "ae_rounds": t, "reps": reps,
+            "ae_rounds": ipe.rounds, "reps": ipe.reps,
         },
         warnings,
     )
@@ -274,11 +294,10 @@ def logdet_edge_cases(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
         m = int(np.sum(unit_mask))
         rest = np.asarray(w[~unit_mask])
         if rest.size == 0:
-            ledger = CostLedger()
-            ledger.charge(1.0)
             return _report("logdet_edge_cases", cfg.seed, 0.0, exact, "absolute", cfg.eps, 1.0,
-                           False, ledger, {"eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
-                                           "branch": "unit_norm", "multiplicity": m},
+                           False, CostLedger(total_queries=1.0),
+                           {"eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
+                            "branch": "unit_norm", "multiplicity": m},
                            ["identity spectrum: log-determinant is exactly 0"])
         sub = logdet_svt(with_spectrum(np.diag(rest), rest, spd_flag=True), cfg)
         value, guarantee, bound = sub.estimate.value, "relative", sub.guarantee_bound
@@ -354,11 +373,9 @@ def schatten_p(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     value = (max(tp.value, 0.0) * scale) ** (1.0 / p)
     exact = exact_spectral_sum(A, "x_pow_p", p=p) ** (1.0 / p)
     bound = cfg.eps * exact
-    ledger = CostLedger()
-    ledger.charge(tp.queries_charged, be_uses=tp.queries_charged / max(be.use_cost, 1.0))
     parameters.update({"payload_scale": scale, "trace_eps": cfg.eps})
     return _report(f"schatten_{p}", cfg.seed, value, exact, "relative", bound,
-                   tp.success_prob, tp.failed, ledger, parameters)
+                   tp.success_prob, tp.failed, _svt_ledger(tp, be), parameters)
 
 
 def vn_entropy(rho: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
@@ -384,21 +401,16 @@ def vn_entropy(rho: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     value = 2.0 * mu * big_l * tr_est.value - math.log(mu)
     exact = exact_spectral_sum(rho, "neg_xlogx")
     bound = cfg.eps
-    ledger = CostLedger()
-    t = math.ceil(8.0 * math.pi / eps_t)
-    reps = median_reps(cfg.delta)
-    ledger.charge(tr_est.queries_charged, be_uses=reps * t * (series.degree + 1),
-                  ae_rounds=reps * t)
     return _report(
         "vn_entropy", cfg.seed, value, exact, "absolute", bound, 1.0 - cfg.delta,
-        tr_est.failed, ledger,
+        tr_est.failed, _svt_ledger(tr_est, be),
         {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "mu": mu, "kappa": kappa, "spectral_norm": norm,
             "beta_formula": beta_formula, "beta_used": beta,
             "eps1_formula": eps1, "eps1_used": eps1_used,
             "trace_eps": eps_t, "degree": series.degree, "degree_used": series.degree_used,
-            "rescale_log": big_l, "ae_rounds": t, "reps": reps,
+            "rescale_log": big_l, "ae_rounds": tr_est.rounds, "reps": tr_est.reps,
         },
     )
 
@@ -426,27 +438,18 @@ def trace_inverse(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     value = 8.0 * tr_est.value / (3.0 * delta_v * mu)
     exact = exact_spectral_sum(A, "inverse")
     bound = cfg.eps * exact
-    ledger = CostLedger()
-    t = math.ceil(8.0 * math.pi / eps_i)
-    reps = median_reps(cfg.delta)
-    ledger.charge(tr_est.queries_charged, be_uses=reps * t * (series.degree + 1),
-                  ae_rounds=reps * t)
     return _report(
         "trace_inverse", cfg.seed, value, exact, "relative", bound, 1.0 - cfg.delta,
-        tr_est.failed, ledger,
+        tr_est.failed, _svt_ledger(tr_est, be),
         {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "mu": mu, "kappa": kappa, "spectral_norm": norm,
             "delta_formula": delta_formula, "delta_used": delta_v,
             "eps12_formula": eps_formula, "eps1_used": eps1, "eps2_used": eps_i,
             "degree": series.degree, "degree_used": series.degree_used,
-            "ae_rounds": t, "reps": reps,
+            "ae_rounds": tr_est.rounds, "reps": tr_est.reps,
         },
     )
-
-
-def _sve_mode(mode: str) -> str:
-    return {"exact": "exact", "stochastic": "stochastic", "adversarial": "grid_round"}[mode]
 
 
 def logdet_sve(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
@@ -463,9 +466,8 @@ def logdet_sve(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     log_k = math.log(max(kappa_eff, math.e))
     eps1 = cfg.eps / (kappa_eff * log_k)
     eps2 = cfg.eps / (kappa_eff**2 * log_k)
-    oracle = SveOracle(A.spectral, eps1, _sve_mode(cfg.mode), cfg.seed, mu)
     sig = np.asarray(A.spectral.singular_values)
-    sig_t = np.clip(sve_all(oracle), None, 1.0 - 1e-15)
+    sig_t = np.clip(sve_values(A.spectral, eps1, cfg.mode, cfg.seed), None, 1.0 - 1e-15)
     if np.any(sig_t <= 0):
         raise ValueError("SVE precision too coarse: a singular value rounded to zero")
     logs = np.abs(np.log(sig_t))
@@ -474,21 +476,12 @@ def logdet_sve(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     c_const = float(np.min(c_vals))
     prob = float(c_const**2 / fro**2 * np.sum(sig**2 / sig_t**2 * logs))
     prob = min(1.0, max(0.0, prob))
-    t = ae_rounds_for(eps2)
-    reps = median_reps(cfg.delta)
-
-    def draw(r):
-        ae = amplitude_estimate(prob, t, cfg.mode, child_seed(cfg.seed, r))
-        return ae.value, ae.failed
-
-    p_hat, failed = median_amplify(draw, reps)
+    t, reps = ae_rounds_for(eps2), median_reps(cfg.delta)
+    p_hat, failed, ledger = _median_amplitude(prob, t, reps, cfg, sve_cost(mu, eps1, n))
     value = -(fro**2 / c_const**2) * p_hat
     exact = exact_spectral_sum(A, "log")
     warnings: list = []
     bound = _relative_bound(cfg.eps, exact, n, norm, warnings)
-    per_round = oracle.cost_per_call
-    ledger = CostLedger()
-    ledger.charge(reps * t * per_round, sve_calls=reps * t, ae_rounds=reps * t)
     return _report(
         "logdet_sve", cfg.seed, value, exact, "relative", bound, 1.0 - cfg.delta,
         failed, ledger,
@@ -517,29 +510,19 @@ def logdet_taylor(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     m = math.ceil(kappa_eff * math.log(1.0 / cfg.eps))
     eps1 = cfg.eps / m
     eps2 = cfg.eps / m
-    oracle = SveOracle(A.spectral, eps1, _sve_mode(cfg.mode), cfg.seed, mu)
-    sig_t = np.clip(sve_all(oracle), 1e-12, 1.0)
+    sig_t = np.clip(sve_values(A.spectral, eps1, cfg.mode, cfg.seed), 1e-12, 1.0)
     x = 1.0 - sig_t
     ks = np.arange(1, m + 1)
     big_l = float(np.sum(x[None, :] ** ks[:, None] / ks[:, None]) / (m * n))
     big_l = min(1.0, max(0.0, big_l))
-    t = ae_rounds_for(eps2)
-    reps = median_reps(cfg.delta)
-
-    def draw(r):
-        ae = amplitude_estimate(big_l, t, cfg.mode, child_seed(cfg.seed, r))
-        return ae.value, ae.failed
-
-    l_hat, failed = median_amplify(draw, reps)
+    t, reps = ae_rounds_for(eps2), median_reps(cfg.delta)
+    l_hat, failed, ledger = _median_amplitude(big_l, t, reps, cfg, sve_cost(mu, eps1, n))
     value = -m * n * l_hat
     exact = exact_spectral_sum(A, "log")
     lam_min = norm / kappa
     xmax = 1.0 - lam_min
     trunc = n * xmax ** (m + 1) / ((m + 1) * (1.0 - xmax))
     bound = 2.0 * n * cfg.eps + trunc
-    per_round = oracle.cost_per_call
-    ledger = CostLedger()
-    ledger.charge(reps * t * per_round, sve_calls=reps * t, ae_rounds=reps * t)
     return _report(
         "logdet_taylor", cfg.seed, value, exact, "absolute", bound, 1.0 - cfg.delta,
         failed, ledger,
@@ -584,18 +567,15 @@ def logdet_chebyshev(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     value = -n * c_const * ht.value
     exact = exact_spectral_sum(A, "log")
     bound = n * c_const * eps1 + n * trunc_per_n
-    n_samp = math.ceil(2.0 * math.log(2.0 / cfg.delta) / eps1**2)
-    ledger = CostLedger()
-    ledger.charge(ht.queries_charged, be_uses=2 * n_samp)
     return _report(
         "logdet_chebyshev", cfg.seed, value, exact, "absolute", bound, 1.0 - cfg.delta,
-        ht.failed, ledger,
+        ht.failed, CostLedger(be_uses=2 * ht.rounds, total_queries=ht.queries_charged),
         {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "kappa": kappa, "delta_margin": delta_c, "d": d,
             "eps1": eps1, "C": c_const, "truncation_per_n": trunc_per_n,
             "kappa_B": kappa_b, "per_state_cost": per_state,
-            "samples": n_samp,
+            "samples": ht.rounds,
         },
     )
 
@@ -615,8 +595,8 @@ def logdet_qmc(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     kappa_eff = kappa / norm
     eps1_formula = cfg.eps / kappa_eff
     eps1 = cfg.eps / (2.2 * kappa_eff)
-    oracle = SveOracle(A.spectral, eps1, _sve_mode(cfg.mode), cfg.seed, mu)
-    sig_t = np.clip(sve_all(oracle), 1e-12, 1.0 - 1e-15)
+    cost = sve_cost(mu, eps1, n)
+    sig_t = np.clip(sve_values(A.spectral, eps1, cfg.mode, cfg.seed), 1e-12, 1.0 - 1e-15)
     values = np.log(1.0 / sig_t)
     b_bound = max(math.log(kappa_eff) ** 2 - 1.0, 1.0)
     eps_rel = cfg.eps / (2.0 * float(np.max(values)))
@@ -626,7 +606,7 @@ def logdet_qmc(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     def draw(r):
         nonlocal queries
         qmc = qmc_mean_estimate(values, b_bound, eps_rel, seed=child_seed(cfg.seed, r),
-                                mode=cfg.mode, sampler_cost=oracle.cost_per_call)
+                                mode=cfg.mode, sampler_cost=cost)
         queries += qmc.queries_charged
         return qmc.value, qmc.failed
 
@@ -634,11 +614,9 @@ def logdet_qmc(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     value = -n * mean
     exact = exact_spectral_sum(A, "log")
     bound = n * cfg.eps
-    ledger = CostLedger()
-    ledger.charge(queries, sve_calls=queries / oracle.cost_per_call)
     return _report(
         "logdet_qmc", cfg.seed, value, exact, "absolute", bound, 1.0 - cfg.delta,
-        failed, ledger,
+        failed, CostLedger(sve_calls=queries / cost, total_queries=queries),
         {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "kappa": kappa, "kappa_eff": kappa_eff,

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import specsum
 from specsum import matrix_core, spectral_sums
 from specsum.cli import main
 from specsum.polyapprox import CertificationError
@@ -54,6 +58,13 @@ class TestGen:
         res = runner.invoke(main, ["gen", "--n", "8", "--kappa", "0.5",
                                    "--out", str(tmp_path / "b")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("kappa", ["nan", "inf"])
+    def test_rejects_non_finite_kappa(self, tmp_path, runner, kappa):
+        res = runner.invoke(main, ["gen", "--n", "8", "--kappa", kappa,
+                                   "--out", str(tmp_path / "b")])
+        assert res.exit_code == 2, res.output
+        assert f"kappa must be >= 1 and finite, got {kappa}" in res.output
 
     def test_rejects_tiny_dimension(self, tmp_path, runner):
         res = runner.invoke(main, ["gen", "--n", "1", "--kappa", "2",
@@ -113,6 +124,28 @@ class TestEstimate:
                                    "--algorithm", "logdet_svt"])
         assert res.exit_code == 2
         assert "non-finite matrix entries: [0, 1] = nan, [1, 0] = nan" in res.output
+
+    def test_empty_coordinate_file_exits_two(self, tmp_path, runner):
+        path = tmp_path / "empty.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n")
+        res = runner.invoke(main, ["estimate", "--matrix", str(path),
+                                   "--algorithm", "logdet_svt"])
+        assert res.exit_code == 2, res.output
+        assert "got shape 0 x 0" in res.output
+
+    def test_empty_array_file_exits_two(self, tmp_path):
+        # scipy's array reader dies by signal on this body, so run it in a
+        # child process: a regression then fails here instead of killing pytest.
+        path = tmp_path / "empty.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n0 0\n")
+        src = os.path.dirname(os.path.dirname(specsum.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        res = subprocess.run([sys.executable, "-m", "specsum.cli", "estimate", "--matrix",
+                              str(path), "--algorithm", "logdet_svt"],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert res.returncode == 2, res.stderr
+        assert "got shape 0 x 0" in res.stderr
 
     def test_invalid_eps_exits_two(self, matrix_prefix, runner):
         res = runner.invoke(main, ["estimate", "--matrix", matrix_prefix + ".mtx",
@@ -176,6 +209,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("axis, values, message", [
         ("kappa", "0.5,10", "kappa must be >= 1"),
+        ("kappa", "nan", "kappa must be >= 1 and finite, got nan"),
         ("n", "1,8", "n must be >= 2"),
     ])
     def test_bad_generator_input_exits_two(self, tmp_path, runner, axis, values, message):

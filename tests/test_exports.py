@@ -1,0 +1,31 @@
+"""Every name a specsum module exports resolves, and deleted names stay deleted."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import specsum
+
+_MODULES = sorted(m.name for m in pkgutil.iter_modules(specsum.__path__))
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"specsum.{name}")
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", ["SveOracle", "sve_estimate", "sve_all"])
+def test_removed_sve_names_are_gone(name):
+    exported = {n for m in _MODULES
+                for n in getattr(importlib.import_module(f"specsum.{m}"), "__all__", [])}
+    assert name not in exported
+    assert not hasattr(importlib.import_module("specsum.qmodel"), name)
+
+
+def test_cost_ledger_has_no_charge():
+    from specsum.qmodel import CostLedger
+
+    assert not hasattr(CostLedger, "charge")

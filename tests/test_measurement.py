@@ -7,6 +7,8 @@ import pytest
 
 from specsum.matrix_core import generate_spd
 from specsum.measurement import (
+    BRASSARD_SUCCESS,
+    _contract_draw,
     ae_error_bound,
     ae_rounds_for,
     amplitude_estimate,
@@ -18,6 +20,7 @@ from specsum.measurement import (
     trace_product_estimate,
 )
 from specsum.qmodel import qram_block_encoding
+from specsum.rng import stream
 
 from dense_views import dense, eigenbasis
 
@@ -189,3 +192,56 @@ class TestQmcMean:
             est = qmc_mean_estimate(vals, B=10.0, eps=0.1, seed=s, mode="stochastic")
             if not est.failed:
                 assert abs(est.value - 2.0) <= 0.2 + 1e-12
+
+
+class TestReportedCounts:
+    """Each primitive reports the repetitions and rounds its query charge counts."""
+
+    def setup_method(self):
+        self.be = qram_block_encoding(generate_spd(16, 10.0, "log_uniform", 0.5, 1))
+
+    def test_amplitude_estimate(self):
+        est = amplitude_estimate(0.3, 40, unit_cost=2.0)
+        assert (est.reps, est.rounds, est.queries_charged) == (1, 40, 80.0)
+
+    @pytest.mark.parametrize("delta", [None, 0.05])
+    def test_trace_estimate_abs(self, delta):
+        est = trace_estimate_abs(self.be, 1e-2, delta=delta)
+        assert est.reps == (1 if delta is None else median_reps(delta))
+        assert est.rounds == math.ceil(8.0 * self.be.alpha * math.pi / 1e-2)
+        assert est.queries_charged == est.reps * est.rounds * self.be.use_cost
+
+    def test_inner_product_estimate(self):
+        est = inner_product_estimate(0.4, 0.01, 0.05, unit_cost=3.0)
+        assert (est.reps, est.rounds) == (median_reps(0.05), ae_rounds_for(0.01))
+        assert est.queries_charged == est.reps * est.rounds * 3.0
+
+    def test_hadamard_test_estimate(self):
+        est = hadamard_test_estimate(0.2, 0.1, 0.05, unit_cost=5.0, seed=0)
+        assert (est.reps, est.rounds) == (1, math.ceil(2.0 * math.log(2.0 / 0.05) / 0.1**2))
+        assert est.queries_charged == 2.0 * est.rounds * 5.0
+
+    def test_trace_product_estimate(self):
+        est = trace_product_estimate(self.be, 0.1, delta=0.05)
+        assert (est.reps, est.rounds) == (median_reps(0.05), 0)
+
+
+class TestContractDraw:
+    def test_branches(self):
+        flags = set()
+        for s in range(200):
+            u, failed = _contract_draw(stream(s, 5), BRASSARD_SUCCESS, 3.0)
+            flags.add(failed)
+            assert (1.0 <= abs(u) <= 3.0) if failed else (abs(u) <= 1.0)
+        assert flags == {False, True}
+
+    def test_draw_order(self):
+        for s in range(50):
+            rng = stream(s, 5)
+            if rng.random() < 0.75:
+                expected = (rng.uniform(-1.0, 1.0), False)
+            else:
+                sign = 1.0 if rng.random() < 0.5 else -1.0
+                expected = (sign * rng.uniform(1.0, 2.0), True)
+            assert _contract_draw(stream(s, 5), 0.75, 2.0) == expected
+

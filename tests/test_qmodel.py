@@ -11,15 +11,15 @@ from specsum.polyapprox import ChebyshevSeries, approx_monomial
 from specsum.qmodel import (
     BlockEncoding,
     CostLedger,
-    SveOracle,
     apply_svt,
     matrix_power,
     polylog,
     product_preamplified,
     qram_block_encoding,
-    sve_all,
-    sve_estimate,
+    sve_cost,
+    sve_values,
 )
+from specsum.rng import stream
 
 from dense_views import dense, eigenbasis
 
@@ -44,14 +44,13 @@ class TestPolylog:
 
 
 class TestCostLedger:
-    def test_accumulates(self):
-        led = CostLedger()
-        led.charge(10.0, be_uses=2, ae_rounds=5)
-        led.charge(3.0, sve_calls=7)
+    def test_holds_its_values(self):
+        led = CostLedger(be_uses=2, sve_calls=7, ae_rounds=5, total_queries=13.0)
         assert led.total_queries == 13.0
         assert led.be_uses == 2
         assert led.sve_calls == 7
         assert led.ae_rounds == 5
+        assert CostLedger().as_dict() == dict.fromkeys(led.as_dict(), 0.0)
 
     def test_as_dict_keys(self):
         assert set(CostLedger().as_dict()) == {
@@ -190,33 +189,35 @@ class TestMatrixPower:
             matrix_power(self._half_encoding(), 1.5, 4.0, 1e-6)
 
 
-class TestSveOracle:
-    def _oracle(self, mode, precision=1e-3, seed=0):
+class TestSveValues:
+    def _sv(self):
         A = _contraction()
-        return SveOracle(A.spectral, precision, mode, seed, A.stats.mu), A
+        return A, np.asarray(A.spectral.singular_values)
 
-    def test_exact_mode(self):
-        oracle, A = self._oracle("exact")
-        assert sve_estimate(oracle, 0) == pytest.approx(A.stats.spectral_norm)
+    def test_exact_mode_is_the_singular_values(self):
+        A, sv = self._sv()
+        np.testing.assert_array_equal(sve_values(A.spectral, 1e-3, "exact", 0), sv)
 
-    def test_grid_round_within_precision(self):
-        oracle, A = self._oracle("grid_round")
-        sv = A.spectral.singular_values
-        est = sve_all(oracle)
-        assert np.all(np.abs(est - sv) <= oracle.precision / 2 + 1e-15)
+    def test_adversarial_mode_rounds_half_to_even_onto_the_grid(self):
+        A, sv = self._sv()
+        eps1 = 1e-3
+        est = sve_values(A.spectral, eps1, "adversarial", 0)
+        assert est.tolist() == [round(s / eps1) * eps1 for s in sv]
+        assert np.all(np.abs(est - sv) <= eps1 / 2 + 1e-15)
 
-    def test_stochastic_within_precision_and_deterministic(self):
-        oracle, A = self._oracle("stochastic", seed=9)
-        est1 = sve_all(oracle)
-        est2 = sve_all(oracle)
-        assert np.array_equal(est1, est2)
-        assert np.all(np.abs(est1 - A.spectral.singular_values) <= oracle.precision)
+    def test_stochastic_mode_draws_one_stream_per_index(self):
+        A, sv = self._sv()
+        eps1 = 1e-3
+        est = sve_values(A.spectral, eps1, "stochastic", 9)
+        assert est.tolist() == [sv[j] + eps1 * stream(9, j).uniform(-1.0, 1.0)
+                                for j in range(A.n)]
+        assert np.all(np.abs(est - sv) <= eps1)
 
-    def test_cost_per_call(self):
-        oracle, A = self._oracle("exact", precision=1e-4)
-        assert oracle.cost_per_call == pytest.approx(A.stats.mu / 1e-4 * polylog(A.n))
+    def test_unknown_mode(self):
+        A, _ = self._sv()
+        with pytest.raises(ValueError, match="unknown SVE mode"):
+            sve_values(A.spectral, 1e-3, "grid_round", 0)
 
-    def test_index_out_of_range(self):
-        oracle, _ = self._oracle("exact")
-        with pytest.raises(IndexError):
-            sve_estimate(oracle, oracle.n)
+    def test_cost(self):
+        A = _contraction()
+        assert sve_cost(A.stats.mu, 1e-4, A.n) == pytest.approx(A.stats.mu / 1e-4 * polylog(A.n))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specsum.matrix_core import SymmetricMatrix, exact_spectral_sum, generate_spd
-from specsum.qmodel import CostLedger
+from specsum.qmodel import CostLedger, polylog, sve_cost
 from specsum.spectral_sums import (
     ALGORITHMS,
     MODES,
@@ -280,8 +280,7 @@ def test_report_states_the_request_and_one_bound(name, mode):
 
 class TestReport:
     def test_estimate_claims_the_bound_and_the_ledger_total(self):
-        ledger = CostLedger()
-        ledger.charge(12.5, be_uses=3)
+        ledger = CostLedger(be_uses=3, total_queries=12.5)
         rep = _report("logdet_svt", 7, 1.25, 1.0, "relative", 0.5, 0.9, False, ledger,
                       {"eps": 0.1})
         est = rep.estimate
@@ -327,3 +326,40 @@ def test_ledger_pinned(key):
         assert run_algorithm(A, cfg).ledger.as_dict() == {
             "be_uses": be_uses, "sve_calls": 0.0, "ae_rounds": ae_rounds,
             "total_queries": total}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_ledger_follows_the_primitive_counts(name, mode):
+    """Each ledger is the one rule over the counts its primitive reports."""
+    for A in _DOMAIN_INPUTS[ALGORITHMS[name].domain]:
+        rep = run_algorithm(A, AlgoConfig(eps=0.2, delta=0.1, mode=mode, seed=3,
+                                          algorithm=name, p=5))
+        led, par = rep.ledger.as_dict(), rep.parameters
+        assert led["total_queries"] == rep.estimate.queries_charged
+        if name == "logdet_edge_cases" and A.n == par.get("multiplicity"):
+            assert led == {"be_uses": 0.0, "sve_calls": 0.0, "ae_rounds": 0.0,
+                           "total_queries": 1.0}
+        elif name in ("logdet_svt", "logdet_edge_cases", "vn_entropy", "trace_inverse",
+                      "schatten_p"):
+            # The SVT estimators run on a qram encoding of the (deflated) input.
+            n = A.n - par.get("multiplicity", 0)
+            assert led["be_uses"] == led["total_queries"] / polylog(n)
+            assert led["sve_calls"] == 0
+            if name == "schatten_p":
+                assert led["ae_rounds"] == 0
+            else:
+                assert led["be_uses"].is_integer()
+                assert led["ae_rounds"] == par["ae_rounds"] * par["reps"]
+        elif name == "logdet_chebyshev":
+            assert led["be_uses"] == 2 * par["samples"]
+            assert led["sve_calls"] == led["ae_rounds"] == 0
+        elif name in ("logdet_sve", "logdet_taylor"):
+            assert led["sve_calls"] == led["ae_rounds"] == par["ae_rounds"] * par["reps"]
+            assert led["total_queries"] == led["sve_calls"] * sve_cost(A.stats.mu, par["eps1"], A.n)
+            assert led["be_uses"] == 0
+        else:
+            assert name == "logdet_qmc"
+            assert led["sve_calls"] == (led["total_queries"]
+                                        / sve_cost(A.stats.mu, par["eps1_used"], A.n))
+            assert led["be_uses"] == led["ae_rounds"] == 0
