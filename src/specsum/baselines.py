@@ -26,7 +26,6 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .matrix_core import SymmetricMatrix, exact_spectral_sum
-from .measurement import Estimate
 from .polyapprox import (
     approx_inverse,
     approx_monomial,
@@ -45,7 +44,6 @@ from .spectral_sums import (
 
 __all__ = [
     "ProbeConfig",
-    "hutchinson_trace",
     "classical_logdet_taylor",
     "classical_logdet_chebyshev",
     "classical_entropy",
@@ -94,21 +92,15 @@ class ProbeConfig:
             raise ValueError(f"unknown probe kind: {self.probe_kind!r}")
 
 
-def _quadform_samples(qform, n: int, cfg: ProbeConfig) -> tuple[float, float]:
-    """Mean and standard error of z^T M z over the probe ensemble.
+def _probe_blocks(n: int, cfg: ProbeConfig):
+    """The probe ensemble as n x k blocks, one probe per column, k <= _PROBE_BLOCK.
 
-    qform maps an n x k block of probes (one probe per column) to the k
-    quadratic forms; probes are fed in blocks of at most _PROBE_BLOCK.
+    Probe i is row i of the draws from stream (seed, 29), whatever the
+    block size.
     """
     rng, draw = stream(cfg.seed, _PROBE_STREAM), _DRAWS[cfg.probe_kind]
-    blocks = [qform(draw(rng, min(_PROBE_BLOCK, cfg.num_probes - start), n).T)
-              for start in range(0, cfg.num_probes, _PROBE_BLOCK)]
-    vals = np.concatenate(blocks)
-    mean = float(np.mean(vals))
-    stderr = 0.0
-    if cfg.num_probes > 1:
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(cfg.num_probes))
-    return mean, stderr
+    for start in range(0, cfg.num_probes, _PROBE_BLOCK):
+        yield draw(rng, min(_PROBE_BLOCK, cfg.num_probes - start), n).T
 
 
 def _spectral_quadform(A: SymmetricMatrix, p, cfg: ProbeConfig) -> tuple[float, float]:
@@ -120,13 +112,17 @@ def _spectral_quadform(A: SymmetricMatrix, p, cfg: ProbeConfig) -> tuple[float, 
     """
     w, Q = A.eigenbasis
     pw = p(w)
-
-    def qform(Z):
+    blocks = []
+    for Z in _probe_blocks(A.n, cfg):
         Y = Q.T @ Z
         np.square(Y, out=Y)
-        return pw @ Y
-
-    return _quadform_samples(qform, A.n, cfg)
+        blocks.append(pw @ Y)
+    vals = np.concatenate(blocks)
+    mean = float(np.mean(vals))
+    stderr = 0.0
+    if cfg.num_probes > 1:
+        stderr = float(np.std(vals, ddof=1) / math.sqrt(cfg.num_probes))
+    return mean, stderr
 
 
 def _require_eps(eps: float) -> None:
@@ -137,38 +133,6 @@ def _require_eps(eps: float) -> None:
 def _success_prob(num_probes: int, eps: float) -> float:
     """Hutchinson concentration level achieved by the given probe count."""
     return max(0.0, 1.0 - 2.0 * math.exp(-num_probes * eps**2 / _HUTCH_C))
-
-
-def hutchinson_trace(matvec, n: int, cfg: ProbeConfig,
-                     matvec_cost: float | None = None) -> Estimate:
-    """Stochastic trace estimate: mean of z^T (M z) over random probes.
-
-    Unbiased for Tr[M] when M is symmetric; for Rademacher probes the
-    diagonal contribution z_i^2 M_ii = M_ii is exact, so M = c*I gives
-    c*n deterministically.
-
-    Args:
-        matvec: Callable applying M to an n-vector.
-        n: Dimension.
-        cfg: Probe ensemble.
-        matvec_cost: Unit operations charged per application of matvec
-            (defaults to n^2, one dense matvec).
-
-    Returns:
-        Estimate whose abs_error_bound is three sample standard errors
-        and whose queries_charged counts matvec unit operations.
-    """
-    cost = float(n * n) if matvec_cost is None else float(matvec_cost)
-    mean, stderr = _quadform_samples(
-        lambda Z: np.array([float(z @ matvec(z)) for z in Z.T]), n, cfg
-    )
-    return Estimate(
-        value=mean,
-        abs_error_bound=3.0 * stderr,
-        success_prob=0.997,
-        queries_charged=cfg.num_probes * cost,
-        seed=cfg.seed,
-    )
 
 
 def _probe_report(name, value, bound, guarantee, exact, cfg, stderr, matvecs, n,

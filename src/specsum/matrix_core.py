@@ -329,7 +329,7 @@ def exact_spectral_sum(A: SymmetricMatrix, f: str, p: float | None = None) -> fl
 
     Args:
         A: Input matrix.
-        f: One of "log", "inverse", "x_pow_p", "neg_xlogx", "exp".
+        f: One of "log", "inverse", "x_pow_p", "neg_xlogx".
         p: Exponent, required for f="x_pow_p".
 
     Returns:
@@ -357,6 +357,4 @@ def exact_spectral_sum(A: SymmetricMatrix, f: str, p: float | None = None) -> fl
             raise ValueError("neg_xlogx requires eigenvalues in [0, 1]")
         pos = w[w > 0]
         return float(-np.sum(pos * np.log(pos)))
-    if f == "exp":
-        return float(np.sum(np.exp(w)))
     raise ValueError(f"unknown spectral function: {f!r}")

@@ -132,8 +132,7 @@ def ae_error_bound(a: float, t: int) -> float:
     return 2 * math.pi * math.sqrt(max(a * (1 - a), 0.0)) / t + math.pi**2 / t**2
 
 
-def amplitude_estimate(a: float, t: int, mode: str = "exact", seed: int = 0,
-                       unit_cost: float = 1.0) -> Estimate:
+def amplitude_estimate(a: float, t: int, mode: str = "exact", seed: int = 0) -> Estimate:
     """Estimate an amplitude with t reflection rounds.
 
     In stochastic mode the estimate lands on the sine grid
@@ -147,11 +146,10 @@ def amplitude_estimate(a: float, t: int, mode: str = "exact", seed: int = 0,
         t: Number of reflection rounds, positive.
         mode: "exact", "stochastic", or "adversarial".
         seed: Stream seed.
-        unit_cost: Query units per reflection round.
 
     Returns:
-        Estimate with abs_error_bound = 2 pi sqrt(a(1-a))/t + pi^2/t^2
-        and success_prob = 8/pi^2.
+        Estimate with abs_error_bound = 2 pi sqrt(a(1-a))/t + pi^2/t^2,
+        success_prob = 8/pi^2 and one query per round.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -180,15 +178,14 @@ def amplitude_estimate(a: float, t: int, mode: str = "exact", seed: int = 0,
         value=a_hat,
         abs_error_bound=bound,
         success_prob=BRASSARD_SUCCESS,
-        queries_charged=t * unit_cost,
+        queries_charged=float(t),
         seed=seed,
         failed=failed,
         rounds=t,
     )
 
 
-def trace_estimate_abs(be: BlockEncoding, eps: float, seed: int = 0,
-                       delta: float | None = None) -> Estimate:
+def trace_estimate_abs(be: BlockEncoding, eps: float, delta: float, seed: int = 0) -> Estimate:
     """Hadamard-test trace estimation with absolute guarantee n*eps.
 
     The test amplitude is a = (1 + Tr[payload]/n)/2, the trace read as
@@ -200,9 +197,9 @@ def trace_estimate_abs(be: BlockEncoding, eps: float, seed: int = 0,
     Args:
         be: Block-encoding of a symmetric contraction.
         eps: Target per-dimension absolute error, positive.
+        delta: Failure probability in (0, 1/2); the value is the median of
+            ceil(18 ln(1/delta)) repetitions.
         seed: Stream seed.
-        delta: Optional failure probability; median amplification over
-            ceil(18 ln(1/delta)) repetitions when given.
 
     Returns:
         Estimate of the encoded trace.
@@ -213,11 +210,10 @@ def trace_estimate_abs(be: BlockEncoding, eps: float, seed: int = 0,
     t = math.ceil(8.0 * be.alpha * math.pi / eps)
     a = (1.0 + be.effective_trace() / n) / 2.0
     a = min(1.0, max(0.0, a))
-    reps = 1 if delta is None else median_reps(delta)
+    reps = median_reps(delta)
 
     def draw(r):
-        est = amplitude_estimate(a, t, be.perturbation_mode, child_seed(seed, r),
-                                 unit_cost=be.use_cost)
+        est = amplitude_estimate(a, t, be.perturbation_mode, child_seed(seed, r))
         return n * be.alpha * (2.0 * est.value - 1.0), est.failed
 
     value, failed = median_amplify(draw, reps)
@@ -225,7 +221,7 @@ def trace_estimate_abs(be: BlockEncoding, eps: float, seed: int = 0,
     return Estimate(
         value=value,
         abs_error_bound=bound,
-        success_prob=BRASSARD_SUCCESS if delta is None else 1.0 - delta,
+        success_prob=1.0 - delta,
         queries_charged=reps * t * be.use_cost,
         seed=seed,
         failed=failed,
@@ -241,8 +237,8 @@ def trace_estimate_abs(be: BlockEncoding, eps: float, seed: int = 0,
 _ROUNDING_SLACK = 2.0**-30
 
 
-def trace_product_estimate(be: BlockEncoding, eps: float, seed: int = 0,
-                           delta: float | None = None) -> Estimate:
+def trace_product_estimate(be: BlockEncoding, eps: float, delta: float,
+                           seed: int = 0) -> Estimate:
     """Multiplicative estimate of Tr[B^T B] for the encoded block B.
 
     Requires the encoding error to satisfy
@@ -251,8 +247,9 @@ def trace_product_estimate(be: BlockEncoding, eps: float, seed: int = 0,
     Args:
         be: (1, q, delta)-style encoding of B.
         eps: Relative error target.
+        delta: Failure probability in (0, 1/2); the value is the median of
+            ceil(18 ln(1/delta)) repetitions.
         seed: Stream seed.
-        delta: Optional failure probability for median amplification.
 
     Returns:
         Estimate with queries be.use_cost * sqrt(n)/eps * polylog(n)
@@ -268,7 +265,7 @@ def trace_product_estimate(be: BlockEncoding, eps: float, seed: int = 0,
             f"encoding error {be.eps:.3e} exceeds the product-trace budget "
             f"{eps * exact_val / (4.0 * n):.3e}"
         )
-    reps = 1 if delta is None else median_reps(delta)
+    reps = median_reps(delta)
 
     def draw(r):
         if be.perturbation_mode == "exact":
@@ -283,7 +280,7 @@ def trace_product_estimate(be: BlockEncoding, eps: float, seed: int = 0,
     return Estimate(
         value=value,
         abs_error_bound=eps * exact_val + 2.0 * be.eps * n,
-        success_prob=2.0 / 3.0 if delta is None else 1.0 - delta,
+        success_prob=1.0 - delta,
         queries_charged=reps * per_rep,
         seed=seed,
         failed=failed,

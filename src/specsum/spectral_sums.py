@@ -78,9 +78,6 @@ __all__ = [
     "ALGORITHMS",
 ]
 
-# Implementation error injected by each SVT application.
-_NU = 1e-12
-
 # Geometric grid factor for rounding cutoffs/tolerances down (caching).
 _GRID = 2.0 ** 0.25
 
@@ -212,16 +209,6 @@ def _median_amplitude(a: float, t: int, reps: int, cfg: AlgoConfig,
                                      total_queries=calls * round_cost)
 
 
-def _relative_bound(eps: float, exact: float | None, n: int, norm: float, warnings: list):
-    """Absolute bound for a relative-eps guarantee on a log-determinant."""
-    if exact is not None:
-        return eps * abs(exact)
-    if norm > 1 - 1e-6:
-        warnings.append("||A|| within 1e-6 of 1: relative bound degenerates, absolute fallback")
-        return eps * n
-    return eps * n * math.log(1.0 / norm)
-
-
 def logdet_svt(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     """Log-determinant via SVT of a certified log polynomial.
 
@@ -245,14 +232,13 @@ def logdet_svt(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     eps3 = _floor_grid(eps2)
     series = approx_log(beta, eps3)
     be = qram_block_encoding(A, cfg.mode, cfg.seed)
-    sv = apply_svt(be, series, _NU)
+    sv = apply_svt(be, series)
     overlap = sv.effective_trace() / n
     ipe = inner_product_estimate(overlap, eps2, cfg.delta, unit_cost=sv.use_cost,
                                  seed=cfg.seed, mode=cfg.mode)
     value = 2.0 * n * big_l * ipe.value + n * math.log(alpha)
     exact = exact_spectral_sum(A, "log")
-    warnings: list = []
-    bound = _relative_bound(cfg.eps, exact, n, norm, warnings)
+    bound = cfg.eps * abs(exact)
     return _report(
         "logdet_svt", cfg.seed, value, exact, "relative", bound, 1.0 - 2.0 * cfg.delta,
         ipe.failed, _svt_ledger(ipe, be),
@@ -266,7 +252,6 @@ def logdet_svt(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
             "poly_sup_error": series.certified_sup_error,
             "ae_rounds": ipe.rounds, "reps": ipe.reps,
         },
-        warnings,
     )
 
 
@@ -354,7 +339,7 @@ def schatten_p(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
             certified_on=mono.certified_on,
             global_bound=mono.global_bound / (2.0 * max(1.0, mono.global_bound)),
         )
-        enc = apply_svt(prod, half, _NU)  # encodes (B/2)^q / 2
+        enc = apply_svt(prod, half)  # encodes (B/2)^q / 2
         gamma2 = 2.0
         parameters["monomial_degree"] = half.degree
     if r >= 1:
@@ -369,7 +354,7 @@ def schatten_p(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
             enc = product_preamplified(enc, mp)
             gamma2 = 8.0
     scale = 2 ** (p / 2.0) * gamma2**2
-    tp = trace_product_estimate(enc, cfg.eps, seed=cfg.seed, delta=cfg.delta)
+    tp = trace_product_estimate(enc, cfg.eps, cfg.delta, seed=cfg.seed)
     value = (max(tp.value, 0.0) * scale) ** (1.0 / p)
     exact = exact_spectral_sum(A, "x_pow_p", p=p) ** (1.0 / p)
     bound = cfg.eps * exact
@@ -395,9 +380,9 @@ def vn_entropy(rho: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     eps1_used = _floor_grid(eps1)
     series = entropy_poly(beta, eps1_used)
     be = qram_block_encoding(rho, cfg.mode, cfg.seed)
-    sv = apply_svt(be, series, _NU)
+    sv = apply_svt(be, series)
     eps_t = cfg.eps / (4.0 * n * mu * big_l)
-    tr_est = trace_estimate_abs(sv, eps_t, seed=cfg.seed, delta=cfg.delta)
+    tr_est = trace_estimate_abs(sv, eps_t, cfg.delta, seed=cfg.seed)
     value = 2.0 * mu * big_l * tr_est.value - math.log(mu)
     exact = exact_spectral_sum(rho, "neg_xlogx")
     bound = cfg.eps
@@ -433,8 +418,8 @@ def trace_inverse(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     eps1 = _floor_grid(eps_i)
     series = approx_inverse(delta_v, eps1)
     be = qram_block_encoding(A, cfg.mode, cfg.seed)
-    sv = apply_svt(be, series, _NU)
-    tr_est = trace_estimate_abs(sv, eps_i, seed=cfg.seed, delta=cfg.delta)
+    sv = apply_svt(be, series)
+    tr_est = trace_estimate_abs(sv, eps_i, cfg.delta, seed=cfg.seed)
     value = 8.0 * tr_est.value / (3.0 * delta_v * mu)
     exact = exact_spectral_sum(A, "inverse")
     bound = cfg.eps * exact
@@ -480,8 +465,7 @@ def logdet_sve(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     p_hat, failed, ledger = _median_amplitude(prob, t, reps, cfg, sve_cost(mu, eps1, n))
     value = -(fro**2 / c_const**2) * p_hat
     exact = exact_spectral_sum(A, "log")
-    warnings: list = []
-    bound = _relative_bound(cfg.eps, exact, n, norm, warnings)
+    bound = cfg.eps * abs(exact)
     return _report(
         "logdet_sve", cfg.seed, value, exact, "relative", bound, 1.0 - cfg.delta,
         failed, ledger,
@@ -492,7 +476,6 @@ def logdet_sve(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
             "C_formula": 1.0 / (kappa_eff * math.sqrt(log_k)),
             "ae_rounds": t, "reps": reps,
         },
-        warnings,
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .baselines import ProbeConfig, hutchinson_trace
+from .baselines import ProbeConfig, classical_schatten_p
 from .matrix_core import SymmetricMatrix, generate_spd
 from .measurement import ae_error_bound, amplitude_estimate
 from .polyapprox import (
@@ -366,7 +366,9 @@ def criterion_baseline_agreement() -> CriterionResult:
         lim = classical.guarantee_bound + quantum.guarantee_bound
         if gap > lim:
             bad.append(f"{classical.algorithm}/{algo}: {gap:.3f} > {lim:.3f}")
-    est = hutchinson_trace(lambda z: z, 32, ProbeConfig(num_probes=3, seed=0))
+    # Rademacher probes read the trace of the identity exactly: z^T z = n.
+    identity = SymmetricMatrix(32, np.eye(32), spd_flag=True)
+    est = classical_schatten_p(identity, 1, 0.1, ProbeConfig(num_probes=3, seed=0)).estimate
     if est.value != 32.0:
         bad.append(f"identity trace: {est.value}")
     detail = "; ".join(bad) if bad else "baselines within summed guarantees of quantum models"

@@ -9,14 +9,13 @@ from specsum import baselines, reporting
 from specsum.baselines import (
     _PROBE_STREAM,
     ProbeConfig,
-    _quadform_samples,
+    _probe_blocks,
     _spectral_quadform,
     classical_entropy,
     classical_logdet_chebyshev,
     classical_logdet_taylor,
     classical_schatten_p,
     classical_trace_inverse,
-    hutchinson_trace,
 )
 from specsum.matrix_core import SymmetricMatrix, exact_spectral_sum, generate_spd
 from specsum.polyapprox import (
@@ -53,47 +52,6 @@ class TestProbeConfig:
     def test_fractional_probe_count_names_the_cause(self):
         with pytest.raises(ValueError, match="num_probes must be an integer, got 2.5"):
             ProbeConfig(num_probes=2.5)
-
-
-class TestHutchinsonTrace:
-    def test_identity_is_exact_with_rademacher(self):
-        n = 16
-        est = hutchinson_trace(lambda v: v, n, ProbeConfig(num_probes=8))
-        assert est.value == pytest.approx(float(n))
-
-    def test_diagonal_within_bound(self):
-        d = np.array([1.0, 2.0, 3.0, 4.0])
-        est = hutchinson_trace(lambda v: d * v, 4, ProbeConfig(num_probes=256, seed=3))
-        assert abs(est.value - 10.0) <= est.abs_error_bound
-
-    def test_rademacher_diagonal_exact(self):
-        # Rademacher probes hit the diagonal exactly: z_i^2 = 1.
-        d = np.array([2.0, -1.0, 5.0])
-        est = hutchinson_trace(lambda v: d * v, 3, ProbeConfig(num_probes=4))
-        assert est.value == pytest.approx(6.0)
-
-    def test_gaussian_probes_unbiased(self):
-        d = np.array([1.0, 2.0, 3.0])
-        cfg = ProbeConfig(num_probes=4096, probe_kind="gaussian", seed=2)
-        est = hutchinson_trace(lambda v: d * v, 3, cfg)
-        assert est.value == pytest.approx(6.0, abs=0.5)
-
-    def test_query_accounting_linear_in_probes(self):
-        n = 8
-        small = hutchinson_trace(lambda v: v, n, ProbeConfig(num_probes=10))
-        big = hutchinson_trace(lambda v: v, n, ProbeConfig(num_probes=30))
-        assert big.queries_charged == pytest.approx(3 * small.queries_charged)
-
-    def test_custom_matvec_cost(self):
-        est = hutchinson_trace(lambda v: v, 4, ProbeConfig(num_probes=5),
-                               matvec_cost=7.0)
-        assert est.queries_charged == pytest.approx(35.0)
-
-    def test_deterministic_given_seed(self):
-        d = np.arange(1.0, 9.0)
-        a = hutchinson_trace(lambda v: d * v, 8, ProbeConfig(num_probes=32, seed=9))
-        b = hutchinson_trace(lambda v: d * v, 8, ProbeConfig(num_probes=32, seed=9))
-        assert a.value == b.value
 
 
 class TestClassicalLogdet:
@@ -273,21 +231,16 @@ class TestBlockedProbes:
                   for eps in (0.3, 0.1)}
         assert {m % 2 for m in orders} == {0, 1}
 
-    def test_hutchinson_vector_matvec_across_blocks(self):
+    def test_quadform_across_blocks(self):
+        """600 probes cross two block edges; the mean and standard error are
+        those of the per-probe samples z^T D z."""
         n = 5
         d = np.arange(1.0, n + 1)
-        seen = set()
-
-        def matvec(v):
-            seen.add(v.shape)
-            return d * v
-
         cfg = ProbeConfig(num_probes=600, seed=4)
-        est = hutchinson_trace(matvec, n, cfg)
+        mean, stderr = _spectral_quadform(SymmetricMatrix(n, np.diag(d)), lambda w: w, cfg)
         vals = [float(z @ (d * z)) for z in _ref_probes(n, cfg)]
-        assert seen == {(n,)}
-        assert est.value == float(np.mean(vals))
-        assert est.abs_error_bound == 3.0 * float(np.std(vals, ddof=1) / math.sqrt(600))
+        assert mean == float(np.mean(vals))
+        assert stderr == float(np.std(vals, ddof=1) / math.sqrt(600))
 
     @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
     def test_probe_i_depends_only_on_seed_and_i(self, kind):
@@ -301,15 +254,8 @@ class TestBlockedProbes:
 
 
 def _seen_probes(n, cfg):
-    """The probes hutchinson_trace applies its matvec to, in order."""
-    seen = []
-
-    def matvec(v):
-        seen.append(v.copy())
-        return v
-
-    hutchinson_trace(matvec, n, cfg)
-    return np.array(seen)
+    """The probes _spectral_quadform applies A's eigenbasis to, in order, one per row."""
+    return np.hstack(list(_probe_blocks(n, cfg))).T
 
 
 class TestProbeStream:
@@ -327,14 +273,8 @@ class TestProbeStream:
     @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
     def test_independent_of_block_size(self, kind, block, monkeypatch):
         n, cfg = 5, ProbeConfig(300, kind, seed=11)
-        blocks = []
-
-        def qform(Z):
-            blocks.append(Z.copy())
-            return np.zeros(Z.shape[1])
-
         monkeypatch.setattr(baselines, "_PROBE_BLOCK", block)
-        _quadform_samples(qform, n, cfg)
+        blocks = list(_probe_blocks(n, cfg))
         assert max(Z.shape[1] for Z in blocks) == min(block, cfg.num_probes)
         assert np.array_equal(np.hstack(blocks).T, np.array(_ref_probes(n, cfg)))
 

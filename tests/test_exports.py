@@ -1,6 +1,7 @@
-"""Every name a specsum module exports resolves, and deleted names stay deleted."""
+"""Every name a specsum module exports resolves, and deleted names and parameters stay deleted."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -29,3 +30,24 @@ def test_cost_ledger_has_no_charge():
     from specsum.qmodel import CostLedger
 
     assert not hasattr(CostLedger, "charge")
+
+
+@pytest.mark.parametrize("module, name", [
+    ("baselines", "hutchinson_trace"),
+    ("baselines", "_quadform_samples"),
+    ("spectral_sums", "_relative_bound"),
+    ("spectral_sums", "_NU"),
+])
+def test_removed_paths_are_gone(module, name):
+    exported = {n for m in _MODULES
+                for n in getattr(importlib.import_module(f"specsum.{m}"), "__all__", [])}
+    assert name not in exported
+    assert not hasattr(importlib.import_module(f"specsum.{module}"), name)
+
+
+def test_removed_parameters_are_gone():
+    from specsum.measurement import amplitude_estimate, trace_estimate_abs, trace_product_estimate
+
+    assert "unit_cost" not in inspect.signature(amplitude_estimate).parameters
+    for primitive in (trace_estimate_abs, trace_product_estimate):
+        assert inspect.signature(primitive).parameters["delta"].default is inspect.Parameter.empty

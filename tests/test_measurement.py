@@ -81,17 +81,17 @@ class TestTraceEstimates:
         self.be = qram_block_encoding(self.A)
 
     def test_absolute_exact_mode(self):
-        est = trace_estimate_abs(self.be, 1e-3)
+        est = trace_estimate_abs(self.be, 1e-3, 0.05)
         true_tr = float(np.trace(self.A.entries))
         assert abs(est.value - true_tr) <= est.abs_error_bound
 
     def test_absolute_bound_scales_with_n(self):
-        est = trace_estimate_abs(self.be, 1e-3)
+        est = trace_estimate_abs(self.be, 1e-3, 0.05)
         assert est.abs_error_bound <= self.be.n * (2e-3 + 1e-12)
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
-            trace_estimate_abs(self.be, 0.0)
+            trace_estimate_abs(self.be, 0.0, 0.05)
 
 
 class TestTraceProduct:
@@ -100,21 +100,21 @@ class TestTraceProduct:
         self.be = qram_block_encoding(self.A)
 
     def test_exact_value(self):
-        est = trace_product_estimate(self.be, 0.1)
+        est = trace_product_estimate(self.be, 0.1, 0.05)
         block = dense(self.be, eigenbasis(self.A.entries)).target
         assert est.value == pytest.approx(float(np.sum(block * block)))
 
     def test_adversarial_stays_relative(self):
-        est = trace_product_estimate(self.be, 0.1)
+        est = trace_product_estimate(self.be, 0.1, 0.05)
         adv = trace_product_estimate(
             qram_block_encoding(generate_spd(16, 10.0, "log_uniform", 0.5, 2),
-                                mode="adversarial"), 0.1)
+                                mode="adversarial"), 0.1, 0.05)
         assert adv.value == pytest.approx(est.value * 1.1)
 
     def test_cost_scales_with_sqrt_n(self):
-        est = trace_product_estimate(self.be, 0.1)
+        est = trace_product_estimate(self.be, 0.1, 0.05)
         assert est.queries_charged == pytest.approx(
-            self.be.use_cost * math.sqrt(16) / 0.1 * 16.0
+            median_reps(0.05) * self.be.use_cost * math.sqrt(16) / 0.1 * 16.0
         )
 
 
@@ -201,13 +201,13 @@ class TestReportedCounts:
         self.be = qram_block_encoding(generate_spd(16, 10.0, "log_uniform", 0.5, 1))
 
     def test_amplitude_estimate(self):
-        est = amplitude_estimate(0.3, 40, unit_cost=2.0)
-        assert (est.reps, est.rounds, est.queries_charged) == (1, 40, 80.0)
+        est = amplitude_estimate(0.3, 40)
+        assert (est.reps, est.rounds, est.queries_charged) == (1, 40, 40.0)
 
-    @pytest.mark.parametrize("delta", [None, 0.05])
+    @pytest.mark.parametrize("delta", [0.2, 0.05])
     def test_trace_estimate_abs(self, delta):
-        est = trace_estimate_abs(self.be, 1e-2, delta=delta)
-        assert est.reps == (1 if delta is None else median_reps(delta))
+        est = trace_estimate_abs(self.be, 1e-2, delta)
+        assert est.reps == median_reps(delta)
         assert est.rounds == math.ceil(8.0 * self.be.alpha * math.pi / 1e-2)
         assert est.queries_charged == est.reps * est.rounds * self.be.use_cost
 
@@ -222,7 +222,7 @@ class TestReportedCounts:
         assert est.queries_charged == 2.0 * est.rounds * 5.0
 
     def test_trace_product_estimate(self):
-        est = trace_product_estimate(self.be, 0.1, delta=0.05)
+        est = trace_product_estimate(self.be, 0.1, 0.05)
         assert (est.reps, est.rounds) == (median_reps(0.05), 0)
 
 
