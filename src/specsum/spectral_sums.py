@@ -83,8 +83,14 @@ _GRID = 2.0 ** 0.25
 
 
 def _floor_grid(x: float) -> float:
-    """Round x down onto the geometric caching grid."""
-    return _GRID ** math.floor(math.log(x) / math.log(_GRID))
+    """Round x down onto the geometric caching grid: the largest _GRID**k <= x."""
+    k = math.floor(math.log(x) / math.log(_GRID))
+    # The quotient can round across an integer, so step k onto the right cell.
+    if _GRID ** (k + 1) <= x:
+        k += 1
+    elif _GRID ** k > x:
+        k -= 1
+    return _GRID ** k
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from specsum.spectral_sums import (
     ALGORITHMS,
     MODES,
     AlgoConfig,
+    _GRID,
+    _floor_grid,
     _report,
     logdet_chebyshev,
     logdet_edge_cases,
@@ -48,6 +50,19 @@ _DOMAIN_INPUTS = {
         SymmetricMatrix(16, 3.0 * np.asarray(_UNIT_NORM.entries), spd_flag=True),
     ],
 }
+
+
+class TestFloorGrid:
+    def test_idempotent_on_its_grid(self):
+        values = [_GRID**k for k in range(-80, 1)]
+        assert [_floor_grid(x) for x in values] == values
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_largest_grid_value_at_most_x(self, seed):
+        for x in np.random.default_rng(seed).uniform(1e-9, 1.0, 500):
+            g = _floor_grid(float(x))
+            k = round(math.log(g) / math.log(_GRID))
+            assert g == _GRID**k and g <= x < _GRID ** (k + 1)
 
 
 class TestAlgoConfig:
