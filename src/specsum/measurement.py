@@ -390,12 +390,13 @@ def hadamard_test_estimate(
 
 
 def qmc_mean_estimate(values, B: float, eps: float, seed: int = 0,
-                      mode: str = "exact", sampler_cost: float = 1.0) -> Estimate:
+                      mode: str = "exact") -> Estimate:
     """Relative-eps estimate of the uniform mean of nonnegative values.
 
     Models quantum Monte Carlo mean estimation for distributions with
-    Var/E^2 <= B: success probability 3/4 and query cost
-    proportional to B/eps per sampler invocation cost.
+    Var/E^2 <= B: success probability 3/4 and ceil(16 B / eps) whole
+    sampler invocations, reported as ``rounds`` and charged one query
+    each (the caller prices a sampler invocation).
 
     Args:
         values: Sequence of nonnegative reals.
@@ -403,7 +404,6 @@ def qmc_mean_estimate(values, B: float, eps: float, seed: int = 0,
         eps: Relative error target.
         seed: Stream seed.
         mode: "exact", "stochastic", or "adversarial".
-        sampler_cost: Query cost of one sampler invocation.
 
     Returns:
         Estimate of the mean.
@@ -429,11 +429,13 @@ def qmc_mean_estimate(values, B: float, eps: float, seed: int = 0,
         value = mean * (1.0 + eps * u)
     else:
         raise ValueError(f"unknown mode: {mode!r}")
+    calls = math.ceil(_QMC_C * B / eps)
     return Estimate(
         value=value,
         abs_error_bound=eps * mean,
         success_prob=0.75,
-        queries_charged=_QMC_C * B / eps * sampler_cost,
+        queries_charged=float(calls),
         seed=seed,
         failed=failed,
+        rounds=calls,
     )

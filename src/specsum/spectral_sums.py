@@ -590,22 +590,16 @@ def logdet_qmc(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     b_bound = max(math.log(kappa_eff) ** 2 - 1.0, 1.0)
     eps_rel = cfg.eps / (2.0 * float(np.max(values)))
     reps = median_reps(cfg.delta)
-    queries = 0.0
-
-    def draw(r):
-        nonlocal queries
-        qmc = qmc_mean_estimate(values, b_bound, eps_rel, seed=child_seed(cfg.seed, r),
-                                mode=cfg.mode, sampler_cost=cost)
-        queries += qmc.queries_charged
-        return qmc.value, qmc.failed
-
-    mean, failed = median_amplify(draw, reps)
+    draws = [qmc_mean_estimate(values, b_bound, eps_rel, seed=child_seed(cfg.seed, r),
+                               mode=cfg.mode) for r in range(reps)]
+    mean, failed = median_amplify(lambda r: (draws[r].value, draws[r].failed), reps)
+    calls = reps * draws[0].rounds  # each sampler invocation is one SVE call
     value = -n * mean
     exact = exact_spectral_sum(A, "log")
     bound = n * cfg.eps
     return _report(
         "logdet_qmc", cfg.seed, value, exact, "absolute", bound, 1.0 - cfg.delta,
-        failed, CostLedger(sve_calls=queries / cost, total_queries=queries),
+        failed, CostLedger(sve_calls=calls, total_queries=calls * cost),
         {
             "eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
             "kappa": kappa, "kappa_eff": kappa_eff,

@@ -174,9 +174,11 @@ class TestQmcMean:
         assert est.value == pytest.approx(2.0)
         assert est.abs_error_bound == pytest.approx(0.2)
 
-    def test_query_cost(self):
-        est = qmc_mean_estimate([1.0, 2.0], B=5.0, eps=0.1, sampler_cost=7.0)
-        assert est.queries_charged == pytest.approx(16.0 * 5.0 / 0.1 * 7.0)
+    @pytest.mark.parametrize("B, eps, calls", [(5.0, 0.1, 800), (5.0, 0.3, 267), (0.7, 0.07, 160)])
+    def test_query_cost(self, B, eps, calls):
+        """ceil(16 B / eps) whole sampler calls, one query each."""
+        est = qmc_mean_estimate([1.0, 1.2], B=B, eps=eps)
+        assert (est.reps, est.rounds, est.queries_charged) == (1, calls, float(calls))
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -375,6 +375,6 @@ def test_ledger_follows_the_primitive_counts(name, mode):
             assert led["be_uses"] == 0
         else:
             assert name == "logdet_qmc"
-            assert led["sve_calls"] == (led["total_queries"]
-                                        / sve_cost(A.stats.mu, par["eps1_used"], A.n))
+            assert float(led["sve_calls"]).is_integer()
+            assert led["total_queries"] == led["sve_calls"] * sve_cost(A.stats.mu, par["eps1_used"], A.n)
             assert led["be_uses"] == led["ae_rounds"] == 0
