@@ -21,6 +21,7 @@ reports record both the formula value and the value used.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -323,6 +324,12 @@ def schatten_p(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     _require_spd_contraction(A)
     st = A.stats
     n, kappa, norm = A.n, st.kappa, st.spectral_norm
+    # Every tolerance derived below is at least eps ||A||^{2p} / (2^{p/2} 64 n),
+    # and the payload scale 2^{p/2} gamma^2 is finite only while p < 2048.
+    if (p >= 2 * sys.float_info.max_exp or math.log2(cfg.eps / (64.0 * n))
+            + 2 * p * math.log2(norm) - p / 2.0 < sys.float_info.min_exp):
+        raise ValueError(f"p = {p} is too large for this input: the Schatten tolerances "
+                         "or payload scale leave the floating-point range")
     q, r = divmod(p, 4)
     be = qram_block_encoding(A, cfg.mode, cfg.seed)
     prod = product_preamplified(be, be)  # encodes B/2 with B = A^T A

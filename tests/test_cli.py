@@ -147,6 +147,18 @@ class TestEstimate:
         assert res.returncode == 2, res.stderr
         assert "got shape 0 x 0" in res.stderr
 
+    @pytest.mark.parametrize("p, flags", [
+        (600, ["--use-monomial-approx"]),  # the monomial tolerance underflowed to 0
+        (2100, []),  # 2^(p/2) overflowed
+    ], ids=["p600-monomial", "p2100"])
+    def test_schatten_p_beyond_the_float_range_exits_two(self, tmp_path, runner, p, flags):
+        prefix = str(tmp_path / "m")
+        assert runner.invoke(main, ["gen", "--n", "16", "--kappa", "10", "--out", prefix]).exit_code == 0
+        res = runner.invoke(main, ["estimate", "--matrix", prefix + ".mtx", "--algorithm",
+                                   "schatten_p", "--p", str(p), *flags])
+        assert res.exit_code == 2, res.output
+        assert f"p = {p} is too large" in res.output
+
     def test_invalid_eps_exits_two(self, matrix_prefix, runner):
         res = runner.invoke(main, ["estimate", "--matrix", matrix_prefix + ".mtx",
                                    "--algorithm", "logdet_svt", "--eps", "2.0"])
