@@ -34,7 +34,7 @@ from .polyapprox import (
     taylor_logdet_degree,
 )
 from .qmodel import CostLedger
-from .rng import stream
+from .rng import PROBE_STREAM, stream
 from .spectral_sums import (
     SpectralSumReport,
     _report,
@@ -54,9 +54,6 @@ __all__ = [
 # Hutchinson concentration constant: ceil(C * log(2/delta) / eps^2)
 # probes give relative error eps on PSD traces with probability 1 - delta.
 _HUTCH_C = 24.0
-
-# Stream index reserved for probe draws.
-_PROBE_STREAM = 29
 
 # Probes per block: bounds the n x k working set whatever num_probes is.
 _PROBE_BLOCK = 256
@@ -98,7 +95,7 @@ def _probe_blocks(n: int, cfg: ProbeConfig):
     Probe i is row i of the draws from stream (seed, 29), whatever the
     block size.
     """
-    rng, draw = stream(cfg.seed, _PROBE_STREAM), _DRAWS[cfg.probe_kind]
+    rng, draw = stream(cfg.seed, PROBE_STREAM), _DRAWS[cfg.probe_kind]
     for start in range(0, cfg.num_probes, _PROBE_BLOCK):
         yield draw(rng, min(_PROBE_BLOCK, cfg.num_probes - start), n).T
 

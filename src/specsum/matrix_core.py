@@ -16,7 +16,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .rng import stream
+from .rng import BASIS_STREAM, SPECTRUM_STREAM, stream
 
 __all__ = [
     "SymmetricMatrix",
@@ -199,7 +199,7 @@ def generate_spd(n: int, kappa: float, profile: str, norm_cap: float, seed: int)
         raise ValueError("n must be >= 2")
     if not (0 < norm_cap <= 1):
         raise ValueError("norm_cap must lie in (0, 1]")
-    rng = stream(seed, 0)
+    rng = stream(seed, SPECTRUM_STREAM)
     lo, hi = norm_cap / kappa, norm_cap
     k = n - 2
     if profile == "log_uniform":
@@ -217,7 +217,7 @@ def generate_spd(n: int, kappa: float, profile: str, norm_cap: float, seed: int)
     else:
         raise ValueError(f"unknown profile: {profile!r}")
     eigs = np.concatenate([[hi, lo], interior])
-    q = _haar_orthogonal(n, stream(seed, 1))
+    q = _haar_orthogonal(n, stream(seed, BASIS_STREAM))
     a = (q * eigs) @ q.T
     m = SymmetricMatrix(n=n, entries=a, spd_flag=True)
     return m

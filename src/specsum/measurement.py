@@ -27,7 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmodel import BlockEncoding, polylog
-from .rng import child_seed, stream
+from .rng import (
+    AMPLITUDE_STREAM,
+    HADAMARD_STREAM,
+    INNER_PRODUCT_STREAM,
+    QMC_STREAM,
+    TRACE_PRODUCT_STREAM,
+    child_seed,
+    stream,
+)
 
 __all__ = [
     "MODES",
@@ -162,7 +170,7 @@ def amplitude_estimate(a: float, t: int, mode: str = "exact", seed: int = 0) -> 
     elif mode == "adversarial":
         a_hat = min(1.0, max(0.0, a + bound))
     elif mode == "stochastic":
-        rng = stream(seed, 0xA)
+        rng = stream(seed, AMPLITUDE_STREAM)
         theta = math.asin(math.sqrt(a))
         grid_pos = t * theta / math.pi
         if rng.random() < BRASSARD_SUCCESS:
@@ -272,7 +280,7 @@ def trace_product_estimate(be: BlockEncoding, eps: float, delta: float,
             return true_val, False
         if be.perturbation_mode == "adversarial":
             return true_val * (1.0 + max(eps - _ROUNDING_SLACK, 0.5 * eps)), False
-        u, failed = _contract_draw(stream(seed, 0xB, r), 2.0 / 3.0, 2.0)
+        u, failed = _contract_draw(stream(seed, TRACE_PRODUCT_STREAM, r), 2.0 / 3.0, 2.0)
         return true_val * (1.0 + eps * u), failed
 
     value, failed = median_amplify(draw, reps)
@@ -320,7 +328,7 @@ def inner_product_estimate(psi_amp: float, eps: float, delta: float,
             return psi_amp, False
         if mode == "adversarial":
             return psi_amp + eps, False
-        u, failed = _contract_draw(stream(seed, 0xC, r), BRASSARD_SUCCESS, 3.0)
+        u, failed = _contract_draw(stream(seed, INNER_PRODUCT_STREAM, r), BRASSARD_SUCCESS, 3.0)
         return psi_amp + eps * u, failed
 
     value, failed = median_amplify(draw, reps)
@@ -372,7 +380,7 @@ def hadamard_test_estimate(
     elif mode == "adversarial":
         value, failed = max(-1.0, min(1.0, overlap + 0.99 * eps)), False
     elif mode == "stochastic":
-        rng = stream(seed, 23)
+        rng = stream(seed, HADAMARD_STREAM)
         k = rng.binomial(n_samp, (1.0 + overlap) / 2.0)
         value = 2.0 * k / n_samp - 1.0
         failed = abs(value - overlap) > eps
@@ -425,7 +433,7 @@ def qmc_mean_estimate(values, B: float, eps: float, seed: int = 0,
     elif mode == "adversarial":
         value, failed = mean * (1.0 + eps), False
     elif mode == "stochastic":
-        u, failed = _contract_draw(stream(seed, 0xD), 0.75, 2.0)
+        u, failed = _contract_draw(stream(seed, QMC_STREAM), 0.75, 2.0)
         value = mean * (1.0 + eps * u)
     else:
         raise ValueError(f"unknown mode: {mode!r}")

@@ -44,7 +44,7 @@ import numpy as np
 
 from .matrix_core import SymmetricMatrix, SpectralData
 from .polyapprox import ChebyshevSeries
-from .rng import child_seed, stream
+from .rng import PERTURBATION_STREAM, child_seed, stream
 
 __all__ = [
     "BlockEncoding",
@@ -103,7 +103,7 @@ def _draw_perturbation(values: np.ndarray, eps: float, mode: str, seed: int) -> 
         e[np.argmax(np.abs(values))] = eps
         return e
     if mode == "stochastic":
-        rng = stream(seed, 0xE)
+        rng = stream(seed, PERTURBATION_STREAM)
         scale = eps * rng.uniform(0.0, 1.0)
         g = rng.standard_normal(values.shape[0])
         return scale * g / np.max(np.abs(g))

@@ -10,9 +10,32 @@ zeros, so stream(s, i) is stream(s, i, 0).
 
 import numpy as np
 
-__all__ = ["stream", "child_seed"]
+__all__ = [
+    "stream",
+    "child_seed",
+    "SPECTRUM_STREAM",
+    "BASIS_STREAM",
+    "AMPLITUDE_STREAM",
+    "TRACE_PRODUCT_STREAM",
+    "INNER_PRODUCT_STREAM",
+    "QMC_STREAM",
+    "PERTURBATION_STREAM",
+    "HADAMARD_STREAM",
+    "PROBE_STREAM",
+]
 
 _MASK63 = 0x7FFFFFFFFFFFFFFF
+
+# The fixed first index of each stochastic component's stream (seed, index, ...).
+SPECTRUM_STREAM = 0  # generate_spd's interior eigenvalues
+BASIS_STREAM = 1  # generate_spd's Haar eigenbasis
+AMPLITUDE_STREAM = 0xA  # amplitude estimation
+TRACE_PRODUCT_STREAM = 0xB  # product-trace estimation, one key per repetition
+INNER_PRODUCT_STREAM = 0xC  # inner-product estimation, one key per repetition
+QMC_STREAM = 0xD  # quantum Monte Carlo mean estimation
+PERTURBATION_STREAM = 0xE  # block-encoding perturbations
+HADAMARD_STREAM = 23  # Hadamard-test sampling
+PROBE_STREAM = 29  # the classical baselines' probe ensemble
 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:
@@ -20,8 +43,8 @@ def stream(seed: int, *indices: int) -> np.random.Generator:
 
     Args:
         seed (int): Base seed for the experiment or estimator.
-        *indices (int): Sub-stream indices (call index, repetition
-            index, the probe-ensemble index 29, ...).
+        *indices (int): Sub-stream indices (one of the fixed indices
+            above, a repetition index, ...).
 
     Returns:
         np.random.Generator: Independent generator for this key.

@@ -7,7 +7,6 @@ import pytest
 
 from specsum import baselines, reporting
 from specsum.baselines import (
-    _PROBE_STREAM,
     ProbeConfig,
     _probe_blocks,
     _spectral_quadform,
@@ -24,7 +23,7 @@ from specsum.polyapprox import (
     chebyshev_logdet_setup,
     entropy_poly,
 )
-from specsum.rng import stream
+from specsum.rng import PROBE_STREAM, stream
 from specsum.spectral_sums import ALGORITHMS, AlgoConfig, vn_entropy
 
 
@@ -121,7 +120,7 @@ class TestClassicalOthers:
 
 def _ref_probes(n, cfg):
     """The probes drawn one row at a time from the ensemble's one stream."""
-    rng = stream(cfg.seed, _PROBE_STREAM)
+    rng = stream(cfg.seed, PROBE_STREAM)
     if cfg.probe_kind == "rademacher":
         return [2.0 * rng.integers(0, 2, size=n) - 1.0 for _ in range(cfg.num_probes)]
     return [rng.standard_normal(n) for _ in range(cfg.num_probes)]

@@ -153,7 +153,8 @@ class TestEstimate:
     ], ids=["p600-monomial", "p2100"])
     def test_schatten_p_beyond_the_float_range_exits_two(self, tmp_path, runner, p, flags):
         prefix = str(tmp_path / "m")
-        assert runner.invoke(main, ["gen", "--n", "16", "--kappa", "10", "--out", prefix]).exit_code == 0
+        res = runner.invoke(main, ["gen", "--n", "16", "--kappa", "10", "--out", prefix])
+        assert res.exit_code == 0, res.output
         res = runner.invoke(main, ["estimate", "--matrix", prefix + ".mtx", "--algorithm",
                                    "schatten_p", "--p", str(p), *flags])
         assert res.exit_code == 2, res.output
