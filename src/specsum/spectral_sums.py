@@ -325,7 +325,7 @@ def schatten_p(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     st = A.stats
     n, kappa, norm = A.n, st.kappa, st.spectral_norm
     # Every tolerance derived below is at least eps ||A||^{2p} / (2^{p/2} 64 n),
-    # and the payload scale 2^{p/2} gamma^2 is finite only while p < 2048.
+    # and the payload scale's 2 ** (p / 2) overflows from p = 2048 on.
     if (p >= 2 * sys.float_info.max_exp or math.log2(cfg.eps / (64.0 * n))
             + 2 * p * math.log2(norm) - p / 2.0 < sys.float_info.min_exp):
         raise ValueError(f"p = {p} is too large for this input: the Schatten tolerances "
