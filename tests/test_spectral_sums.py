@@ -53,9 +53,14 @@ _DOMAIN_INPUTS = {
 
 
 class TestFloorGrid:
+    VALUES = [_GRID**k for k in range(-80, 1)]
+
     def test_idempotent_on_its_grid(self):
-        values = [_GRID**k for k in range(-80, 1)]
-        assert [_floor_grid(x) for x in values] == values
+        assert [_floor_grid(x) for x in self.VALUES] == self.VALUES
+
+    def test_one_ulp_below_a_grid_value_floors_to_the_cell_below(self):
+        below = [_floor_grid(math.nextafter(x, 0.0)) for x in self.VALUES[1:]]
+        assert below == self.VALUES[:-1]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_largest_grid_value_at_most_x(self, seed):
