@@ -62,9 +62,8 @@ class TestFloorGrid:
         below = [_floor_grid(math.nextafter(x, 0.0)) for x in self.VALUES[1:]]
         assert below == self.VALUES[:-1]
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_largest_grid_value_at_most_x(self, seed):
-        for x in np.random.default_rng(seed).uniform(1e-9, 1.0, 500):
+    def test_largest_grid_value_at_most_x(self):
+        for x in np.random.default_rng(0).uniform(1e-9, 1.0, 2000):
             g = _floor_grid(float(x))
             k = round(math.log(g) / math.log(_GRID))
             assert g == _GRID**k and g <= x < _GRID ** (k + 1)
