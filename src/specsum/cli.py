@@ -21,10 +21,8 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
-import numpy as np
 
 from .matrix_core import (
     SymmetricMatrix,
@@ -35,7 +33,8 @@ from .matrix_core import (
 )
 from .polyapprox import CertificationError
 from .reporting import canonical_json, csv_header, csv_row, report_json
-from .spectral_sums import ALGORITHMS, MODES, AlgoConfig, run_algorithm
+from .spectral_sums import ALGORITHMS, MODES, AlgoConfig, fit_loglog, run_algorithm
+from .spectral_sums import sweep as run_sweep
 from .verify import SUITES, run_suite
 
 _PROFILES = {"log-uniform": "log_uniform", "uniform": "uniform", "clustered": "clustered"}
@@ -194,56 +193,23 @@ def sweep(n, kappa, profile, norm, matrix_seed, algorithm, axis, values,
     if seeds < 1:
         raise click.UsageError("seeds must be >= 1")
 
-    cells = [(v, s) for v in vals for s in range(seeds)]
-    matrices = {}
-
-    def matrix_for(value):
-        nn = int(value) if axis == "n" else n
-        kk = value if axis == "kappa" else kappa
-        key = (nn, kk)
-        if key not in matrices:
-            A = generate_spd(nn, kk, _PROFILES[profile], norm, matrix_seed)
-            matrices[key] = ALGORITHMS[algorithm].input(A)
-        return matrices[key]
-
-    def run_cell(cell):
-        value, seed = cell
-        cfg = AlgoConfig(
-            eps=value if axis == "eps" else eps,
-            delta=delta, mode=mode, seed=seed, algorithm=algorithm,
-            p=int(value) if axis == "p" else p,
-        )
-        return run_algorithm(matrix_for(value), cfg)
-
     try:
-        for v, _ in cells:  # build matrices and fill their caches serially so workers only read
-            A = matrix_for(v)
-            A.spectral, A.stats
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_cell, cells))
+        rows = run_sweep(algorithm, axis, vals, n=n, kappa=kappa, profile=_PROFILES[profile],
+                         norm=norm, matrix_seed=matrix_seed, seeds=range(seeds), eps=eps,
+                         delta=delta, mode=mode, p=p, threads=threads)
     except (ValueError, CertificationError) as exc:
         raise click.UsageError(str(exc))
 
     lines = [csv_header([f"sweep_{axis}", "n", "kappa"])]
-    for (value, _), rep in zip(cells, reports):
-        A = matrix_for(value)
-        extra = {f"sweep_{axis}": value, "n": A.n, "kappa": A.stats.kappa}
-        lines.append(csv_row(rep, extra))
+    lines += [csv_row(rep, {f"sweep_{axis}": value, "n": A.n, "kappa": A.stats.kappa})
+              for value, A, rep in rows]
     _write("\n".join(lines) + "\n", out)
 
     if len(vals) < 2:
         click.echo("fit: insufficient points")
         return
-    xs = np.log([1.0 / v if axis == "eps" else v for v, _ in cells])
-    ys = np.log([rep.ledger.total_queries for rep in reports])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    denom = float(np.sum((xs - xs.mean()) ** 2))
-    dof = max(len(xs) - 2, 1)
-    se = math.sqrt(float(np.sum(resid**2)) / dof / denom) if denom > 0 else float("nan")
-    click.echo(
-        f"fit: slope={_g17(slope)} ci95=±{_g17(1.96 * se)} points={len(xs)}"
-    )
+    slope, se = fit_loglog(axis, rows)
+    click.echo(f"fit: slope={_g17(slope)} ci95=±{_g17(1.96 * se)} points={len(rows)}")
 
 
 @main.command()

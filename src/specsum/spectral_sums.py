@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .matrix_core import SymmetricMatrix, exact_spectral_sum, unit_trace, with_spectrum
+from .matrix_core import SymmetricMatrix, exact_spectral_sum, generate_spd, unit_trace, with_spectrum
 from .polyapprox import (
     approx_inverse,
     approx_log,
@@ -76,6 +77,8 @@ __all__ = [
     "logdet_chebyshev",
     "logdet_qmc",
     "run_algorithm",
+    "sweep",
+    "fit_loglog",
     "ALGORITHMS",
 ]
 
@@ -647,3 +650,55 @@ ALGORITHMS = {
 def run_algorithm(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     """Run the estimator cfg.algorithm names on a matrix of its domain."""
     return ALGORITHMS[cfg.algorithm].run(A, cfg)
+
+
+def sweep(algorithm: str, axis: str, values, *, n: int = 64, kappa: float = 10.0,
+          profile: str = "log_uniform", norm: float = 0.5, matrix_seed: int = 0,
+          seeds=range(1), eps: float = 0.1, delta: float = 0.05, mode: str = "exact",
+          p: int = 4, threads: int = 1) -> list:
+    """Run an estimator at each value of one axis ("eps", "kappa", "n" or "p") and each seed.
+
+    Each (n, kappa) gets one input: generate_spd(n, kappa, profile, norm,
+    matrix_seed) through the estimator's input map, with its spectral and
+    stats caches filled before the threads workers start, so the workers
+    only read it and the rows do not depend on the thread count.
+
+    Returns:
+        (axis value, input, report) rows in cell order: values outer, seeds inner.
+    """
+    if axis not in ("eps", "kappa", "n", "p"):
+        raise ValueError(f"unknown sweep axis {axis!r}: choose one of eps, kappa, n, p")
+    inputs = {}
+    cells = []
+    for value in values:
+        key = (int(value) if axis == "n" else n, value if axis == "kappa" else kappa)
+        if key not in inputs:
+            A = ALGORITHMS[algorithm].input(generate_spd(*key, profile, norm, matrix_seed))
+            A.spectral, A.stats
+            inputs[key] = A
+        cells += [(value, inputs[key], seed) for seed in seeds]
+
+    def run(cell):
+        value, A, seed = cell
+        cfg = AlgoConfig(eps=value if axis == "eps" else eps, delta=delta, mode=mode, seed=seed,
+                         algorithm=algorithm, p=int(value) if axis == "p" else p)
+        return value, A, run_algorithm(A, cfg)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, cells))
+
+
+def fit_loglog(axis: str, rows) -> tuple[float, float]:
+    """Least-squares slope of log total_queries against log 1/eps (axis "eps") or log value.
+
+    Returns:
+        (slope, standard error), the error nan when every x is equal.
+    """
+    xs = np.log([1.0 / value if axis == "eps" else value for value, _, _ in rows])
+    ys = np.log([rep.ledger.total_queries for _, _, rep in rows])
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = ys - (slope * xs + intercept)
+    denom = float(np.sum((xs - xs.mean()) ** 2))
+    dof = max(len(xs) - 2, 1)
+    se = math.sqrt(float(np.sum(resid**2)) / dof / denom) if denom > 0 else float("nan")
+    return float(slope), se

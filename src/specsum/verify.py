@@ -32,7 +32,7 @@ from .polyapprox import (
     taylor_logdet_degree,
 )
 from .rng import stream
-from .spectral_sums import ALGORITHMS, AlgoConfig, run_algorithm
+from .spectral_sums import ALGORITHMS, AlgoConfig, fit_loglog, run_algorithm, sweep
 
 __all__ = ["CriterionResult", "CRITERIA", "SUITES", "run_suite"]
 
@@ -44,22 +44,21 @@ _GRID_NK = [(n, k) for n in (32, 64, 128) for k in (5, 10, 50)]
 _SOUND_ALGOS = [name for name, entry in ALGORITHMS.items()
                 if entry.domain != "norm_at_least_one"]
 
-# Scaling-law sweep windows: (algorithm, eps values, slope interval).
+# Scaling-law sweeps on generate_spd(64, 10, "log_uniform", 0.5, 7) and its
+# kappa variants: (axis, algorithm, axis values, slope interval).
 _EPS_BASE = [0.01 * 2.0**-i for i in range(5)]
-_EPS_SWEEPS = [
-    ("logdet_svt", _EPS_BASE, (0.85, 1.15)),
-    ("vn_entropy", _EPS_BASE, (0.85, 1.15)),
-    ("trace_inverse", _EPS_BASE, (0.85, 1.15)),
-    ("schatten_p", _EPS_BASE, (0.85, 1.15)),
-    ("logdet_sve", _EPS_BASE, (1.7, 2.3)),
-    ("logdet_qmc", _EPS_BASE, (1.7, 2.3)),
-    ("logdet_taylor", [1.6e-4 * 2.0**-i for i in range(5)], (1.7, 2.3)),
-    ("logdet_chebyshev", [2.5e-7 * 2.0**-i for i in range(5)], (1.7, 2.3)),
-]
-_KAPPA_SWEEPS = [
-    ("logdet_svt", [50, 100, 200, 400], (0.85, 1.15)),
-    ("trace_inverse", [25, 50, 100, 200], (1.7, 2.3)),
-    ("logdet_sve", [80, 160, 320, 640], (2.6, 3.4)),
+_SCALING_SWEEPS = [
+    ("eps", "logdet_svt", _EPS_BASE, (0.85, 1.15)),
+    ("eps", "vn_entropy", _EPS_BASE, (0.85, 1.15)),
+    ("eps", "trace_inverse", _EPS_BASE, (0.85, 1.15)),
+    ("eps", "schatten_p", _EPS_BASE, (0.85, 1.15)),
+    ("eps", "logdet_sve", _EPS_BASE, (1.7, 2.3)),
+    ("eps", "logdet_qmc", _EPS_BASE, (1.7, 2.3)),
+    ("eps", "logdet_taylor", [1.6e-4 * 2.0**-i for i in range(5)], (1.7, 2.3)),
+    ("eps", "logdet_chebyshev", [2.5e-7 * 2.0**-i for i in range(5)], (1.7, 2.3)),
+    ("kappa", "logdet_svt", [50, 100, 200, 400], (0.85, 1.15)),
+    ("kappa", "trace_inverse", [25, 50, 100, 200], (1.7, 2.3)),
+    ("kappa", "logdet_sve", [80, 160, 320, 640], (2.6, 3.4)),
 ]
 
 
@@ -74,10 +73,6 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{self.name}: {status} — {self.detail}"
-
-
-def _fit_slope(xs, qs) -> float:
-    return float(np.polyfit(np.log(xs), np.log(qs), 1)[0])
 
 
 def criterion_polynomial_certification() -> CriterionResult:
@@ -208,34 +203,15 @@ def criterion_amplitude_estimation() -> CriterionResult:
     return CriterionResult("amplitude-estimation contract", not bad, detail)
 
 
-def _sweep_queries(algo: str, A, eps_values, kappa=None) -> list:
-    qs = []
-    for e in eps_values:
-        cfg = AlgoConfig(eps=e, mode="exact", seed=3, algorithm=algo, p=4)
-        qs.append(run_algorithm(ALGORITHMS[algo].input(A), cfg).ledger.total_queries)
-    return qs
-
-
 def criterion_scaling_laws() -> CriterionResult:
     """Ledger slopes vs 1/eps and kappa match the theory exponents."""
     bad, lines = [], []
-    A = generate_spd(64, 10, "log_uniform", 0.5, 7)
-    for algo, eps_values, (lo, hi) in _EPS_SWEEPS:
-        qs = _sweep_queries(algo, A, eps_values)
-        slope = _fit_slope([1.0 / e for e in eps_values], qs)
-        lines.append(f"{algo} eps:{slope:.2f}")
+    for axis, algo, values, (lo, hi) in _SCALING_SWEEPS:
+        slope, _ = fit_loglog(axis, sweep(algo, axis, values, matrix_seed=7, seeds=[3]))
+        lines.append(f"{algo} {axis}:{slope:.2f}")
         if not (lo <= slope <= hi):
-            bad.append(f"{algo} vs 1/eps: {slope:.3f} not in [{lo},{hi}]")
-    for algo, kappas, (lo, hi) in _KAPPA_SWEEPS:
-        qs = []
-        for k in kappas:
-            Ak = generate_spd(64, k, "log_uniform", 0.5, 7)
-            cfg = AlgoConfig(eps=0.1, mode="exact", seed=3, algorithm=algo)
-            qs.append(run_algorithm(Ak, cfg).ledger.total_queries)
-        slope = _fit_slope(kappas, qs)
-        lines.append(f"{algo} kappa:{slope:.2f}")
-        if not (lo <= slope <= hi):
-            bad.append(f"{algo} vs kappa: {slope:.3f} not in [{lo},{hi}]")
+            x = "1/eps" if axis == "eps" else axis
+            bad.append(f"{algo} vs {x}: {slope:.3f} not in [{lo},{hi}]")
     detail = "; ".join(bad) if bad else " ".join(lines)
     return CriterionResult("scaling-law reproduction", not bad, detail)
 

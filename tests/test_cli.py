@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import specsum
-from specsum import matrix_core, spectral_sums
+from specsum import matrix_core, spectral_sums, verify
 from specsum.cli import main
 from specsum.polyapprox import CertificationError
 from specsum.reporting import CSV_COLUMNS
@@ -288,6 +288,26 @@ class TestSweep:
         assert len(rows) == 2
         assert all(row[header.index("algorithm")] == "vn_entropy" for row in rows)
         assert all(row[header.index("passed")] == "true" for row in rows)
+
+
+@pytest.fixture(scope="module")
+def scaling_detail():
+    return verify.criterion_scaling_laws().detail
+
+
+@pytest.mark.parametrize("axis, algorithm", [("eps", "logdet_svt"), ("kappa", "trace_inverse")])
+def test_sweep_fit_matches_the_scaling_criterion(tmp_path, runner, scaling_detail, axis,
+                                                 algorithm):
+    # Exact-mode ledgers do not depend on the estimator seed, so the command's
+    # seed 0 fits the same slope as the criterion's seed 3.
+    values = next(v for ax, name, v, _ in verify._SCALING_SWEEPS if (ax, name) == (axis, algorithm))
+    res = runner.invoke(main, ["sweep", "--n", "64", "--kappa", "10", "--matrix-seed", "7",
+                               "--algorithm", algorithm, "--axis", axis,
+                               "--values", ",".join(map(repr, values)),
+                               "--out", str(tmp_path / "s.csv")])
+    assert res.exit_code == 0, res.output
+    slope = float(res.output.split("slope=")[1].split()[0])
+    assert f"{algorithm} {axis}:{slope:.2f}" in scaling_detail
 
 
 @pytest.mark.parametrize("command", ["estimate", "sweep"])

@@ -37,6 +37,9 @@ def test_cost_ledger_has_no_charge():
     ("baselines", "_quadform_samples"),
     ("spectral_sums", "_relative_bound"),
     ("spectral_sums", "_NU"),
+    ("verify", "_fit_slope"),
+    ("verify", "_sweep_queries"),
+    ("cli", "ThreadPoolExecutor"),
 ])
 def test_removed_paths_are_gone(module, name):
     exported = {n for m in _MODULES

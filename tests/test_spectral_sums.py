@@ -1,6 +1,7 @@
 """Tests for the quantum-model spectral-sum estimators."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from specsum.spectral_sums import (
     _GRID,
     _floor_grid,
     _report,
+    fit_loglog,
     logdet_chebyshev,
     logdet_edge_cases,
     logdet_qmc,
@@ -22,6 +24,7 @@ from specsum.spectral_sums import (
     logdet_taylor,
     run_algorithm,
     schatten_p,
+    sweep,
     trace_inverse,
     vn_entropy,
 )
@@ -383,3 +386,57 @@ def test_ledger_follows_the_primitive_counts(name, mode):
             cost = sve_cost(A.stats.mu, par["eps1_used"], A.n)
             assert led["total_queries"] == led["sve_calls"] * cost
             assert led["be_uses"] == led["ae_rounds"] == 0
+
+
+class TestSweep:
+    def test_rows_follow_cell_order_on_one_input(self):
+        rows = sweep("logdet_svt", "eps", [0.1, 0.05], n=16, seeds=[3, 5])
+        assert [(v, rep.estimate.seed, rep.parameters["eps"]) for v, _, rep in rows] == [
+            (0.1, 3, 0.1), (0.1, 5, 0.1), (0.05, 3, 0.05), (0.05, 5, 0.05)]
+        assert len({id(A) for _, A, _ in rows}) == 1
+
+    def test_each_kappa_gets_its_own_input_through_the_input_map(self):
+        rows = sweep("vn_entropy", "kappa", [5.0, 10.0, 5.0], n=16)
+        inputs = [A for _, A, _ in rows]
+        assert inputs[0] is inputs[2] and inputs[0] is not inputs[1]
+        for (kappa, A, rep), reference in zip(rows, (5.0, 10.0, 5.0)):
+            assert np.trace(A.entries) == pytest.approx(1.0)
+            assert A.stats.kappa == pytest.approx(reference)
+            assert rep.algorithm == "vn_entropy"
+
+    def test_n_and_p_axes_read_integers(self):
+        rows = sweep("schatten_p", "p", [2.0, 3.0], n=16)
+        assert [rep.algorithm for _, _, rep in rows] == ["schatten_2", "schatten_3"]
+        assert [A.n for _, A, _ in sweep("logdet_svt", "n", [8.0, 16.0])] == [8, 16]
+
+    def test_threads_do_not_change_the_rows(self):
+        kwargs = dict(n=16, seeds=range(3), mode="stochastic")
+        one = sweep("logdet_sve", "eps", [0.1, 0.05], threads=1, **kwargs)
+        three = sweep("logdet_sve", "eps", [0.1, 0.05], threads=3, **kwargs)
+        assert [rep.estimate for *_, rep in one] == [rep.estimate for *_, rep in three]
+
+    def test_unknown_axis(self):
+        with pytest.raises(ValueError, match="unknown sweep axis 'delta'"):
+            sweep("logdet_svt", "delta", [0.1])
+
+
+class TestFitLoglog:
+    @staticmethod
+    def _rows(xs, queries):
+        return [(x, None, SimpleNamespace(ledger=CostLedger(total_queries=q)))
+                for x, q in zip(xs, queries)]
+
+    def test_eps_axis_fits_against_one_over_eps(self):
+        eps = [0.1, 0.05, 0.025]
+        slope, se = fit_loglog("eps", self._rows(eps, [7.0 / e**2 for e in eps]))
+        assert slope == pytest.approx(2.0)
+        assert se == pytest.approx(0.0, abs=1e-12)
+
+    def test_other_axes_fit_against_the_value(self):
+        slope, _ = fit_loglog("kappa", self._rows([10, 20, 40], [3.0, 3.0 * 2**1.5, 3.0 * 4**1.5]))
+        assert slope == pytest.approx(1.5)
+
+    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+    def test_equal_x_gives_no_standard_error(self):
+        _, se = fit_loglog("n", self._rows([16, 16], [5.0, 6.0]))
+        assert math.isnan(se)
