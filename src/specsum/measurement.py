@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmodel import BlockEncoding, polylog
+from .qmodel import MODES, BlockEncoding, polylog
 from .rng import (
     AMPLITUDE_STREAM,
     HADAMARD_STREAM,
@@ -51,8 +51,6 @@ __all__ = [
     "hadamard_test_estimate",
     "qmc_mean_estimate",
 ]
-
-MODES = ("exact", "stochastic", "adversarial")
 
 # Success probability of a single amplitude-estimation shot.
 BRASSARD_SUCCESS = 8.0 / math.pi**2
@@ -296,37 +294,34 @@ def trace_product_estimate(be: BlockEncoding, eps: float, delta: float,
     )
 
 
-def inner_product_estimate(psi_amp: float, eps: float, delta: float,
-                           unit_cost: float, seed: int = 0,
-                           mode: str = "exact") -> Estimate:
-    """Estimate a scalar overlap within eps with probability >= 1 - 2 delta.
+def inner_product_estimate(be: BlockEncoding, eps: float, delta: float,
+                           seed: int = 0) -> Estimate:
+    """Estimate the overlap Tr[payload]/n of an encoding within eps w.p. >= 1 - 2 delta.
 
-    Emulated at the amplitude level: the true overlap is perturbed per
-    the base amplitude-estimation success model and the median of
-    ceil(18 ln(1/delta)) repetitions is returned.
+    Emulated at the amplitude level: the true overlap, the mean of the
+    effective payload's eigenvalues, is perturbed per the base
+    amplitude-estimation success model in the encoding's perturbation
+    mode, and the median of ceil(18 ln(1/delta)) repetitions is returned.
 
     Args:
-        psi_amp: True overlap value.
+        be: Block-encoding whose normalized trace is the overlap.
         eps: Absolute precision target, positive.
         delta: Per-side failure probability in (0, 1/2).
-        unit_cost: Query cost of one state-preparation unitary.
         seed: Stream seed.
-        mode: "exact", "stochastic", or "adversarial".
 
     Returns:
-        Estimate of the overlap.
+        Estimate of the overlap, charging be.use_cost per round.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode: {mode!r}")
+    psi_amp = be.effective_trace() / be.n
     reps = median_reps(delta)
     t = ae_rounds_for(eps)
 
     def draw(r):
-        if mode == "exact":
+        if be.perturbation_mode == "exact":
             return psi_amp, False
-        if mode == "adversarial":
+        if be.perturbation_mode == "adversarial":
             return psi_amp + eps, False
         u, failed = _contract_draw(stream(seed, INNER_PRODUCT_STREAM, r), BRASSARD_SUCCESS, 3.0)
         return psi_amp + eps * u, failed
@@ -336,7 +331,7 @@ def inner_product_estimate(psi_amp: float, eps: float, delta: float,
         value=value,
         abs_error_bound=eps,
         success_prob=1.0 - 2.0 * delta,
-        queries_charged=reps * t * unit_cost,
+        queries_charged=reps * t * be.use_cost,
         seed=seed,
         failed=failed,
         reps=reps,

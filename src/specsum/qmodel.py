@@ -47,6 +47,7 @@ from .polyapprox import ChebyshevSeries
 from .rng import PERTURBATION_STREAM, child_seed, stream
 
 __all__ = [
+    "MODES",
     "BlockEncoding",
     "CostLedger",
     "polylog",
@@ -57,6 +58,9 @@ __all__ = [
     "sve_values",
     "sve_cost",
 ]
+
+
+MODES = ("exact", "stochastic", "adversarial")
 
 
 def polylog(n: int) -> float:
@@ -102,12 +106,10 @@ def _draw_perturbation(values: np.ndarray, eps: float, mode: str, seed: int) -> 
         e = np.zeros_like(values)
         e[np.argmax(np.abs(values))] = eps
         return e
-    if mode == "stochastic":
-        rng = stream(seed, PERTURBATION_STREAM)
-        scale = eps * rng.uniform(0.0, 1.0)
-        g = rng.standard_normal(values.shape[0])
-        return scale * g / np.max(np.abs(g))
-    raise ValueError(f"unknown perturbation mode: {mode!r}")
+    rng = stream(seed, PERTURBATION_STREAM)  # stochastic
+    scale = eps * rng.uniform(0.0, 1.0)
+    g = rng.standard_normal(values.shape[0])
+    return scale * g / np.max(np.abs(g))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -135,7 +137,7 @@ class BlockEncoding:
         eps: Encoding error budget; the effective payload deviates from
             the exact one by at most eps/alpha in spectral norm.
         use_cost: Query units charged per application.
-        perturbation_mode: "exact", "adversarial", or "stochastic".
+        perturbation_mode: One of MODES: "exact", "stochastic" or "adversarial".
         seed: Perturbation stream seed.
     """
 
@@ -158,6 +160,9 @@ class BlockEncoding:
             raise ValueError("source, payload_values and perturbation_values disagree in size")
         if self.use_cost <= 0:
             raise ValueError("use_cost must be positive")
+        if self.perturbation_mode not in MODES:
+            raise ValueError(f"unknown perturbation mode {self.perturbation_mode!r}: "
+                             f"choose one of {', '.join(MODES)}")
         object.__setattr__(self, "payload_values", values)
         object.__setattr__(self, "perturbation_values", noise)
 

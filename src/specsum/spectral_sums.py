@@ -242,10 +242,7 @@ def logdet_svt(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     eps3 = _floor_grid(eps2)
     series = approx_log(beta, eps3)
     be = qram_block_encoding(A, cfg.mode, cfg.seed)
-    sv = apply_svt(be, series)
-    overlap = sv.effective_trace() / n
-    ipe = inner_product_estimate(overlap, eps2, cfg.delta, unit_cost=sv.use_cost,
-                                 seed=cfg.seed, mode=cfg.mode)
+    ipe = inner_product_estimate(apply_svt(be, series), eps2, cfg.delta, seed=cfg.seed)
     value = 2.0 * n * big_l * ipe.value + n * math.log(alpha)
     exact = exact_spectral_sum(A, "log")
     bound = cfg.eps * abs(exact)

@@ -119,21 +119,27 @@ class TestTraceProduct:
 
 
 class TestInnerProduct:
-    def test_exact(self):
-        est = inner_product_estimate(0.42, 0.01, 0.05, unit_cost=3.0)
-        assert est.value == 0.42
-        assert est.queries_charged == median_reps(0.05) * ae_rounds_for(0.01) * 3.0
+    """The overlap, use cost and mode are read from the encoding measured."""
+
+    A = generate_spd(16, 10.0, "log_uniform", 0.5, 1)
+
+    def test_exact_reads_the_normalized_trace(self):
+        be = qram_block_encoding(self.A)
+        est = inner_product_estimate(be, 0.01, 0.05)
+        assert est.value == be.effective_trace() / be.n
+        assert est.value == pytest.approx(np.trace(self.A.entries) / (16 * self.A.stats.mu))
+        assert est.queries_charged == median_reps(0.05) * ae_rounds_for(0.01) * be.use_cost
 
     def test_adversarial_shift(self):
-        est = inner_product_estimate(0.42, 0.01, 0.05, unit_cost=1.0, mode="adversarial")
-        assert est.value == pytest.approx(0.43)
+        exact = inner_product_estimate(qram_block_encoding(self.A), 0.01, 0.05).value
+        est = inner_product_estimate(qram_block_encoding(self.A, "adversarial"), 0.01, 0.05)
+        assert est.value == pytest.approx(exact + 0.01)
 
     def test_stochastic_median_within_bound(self):
-        hits = sum(
-            abs(inner_product_estimate(0.42, 0.01, 0.1, 1.0, seed=s,
-                                       mode="stochastic").value - 0.42) <= 0.01
-            for s in range(40)
-        )
+        be = qram_block_encoding(self.A, "stochastic")
+        overlap = be.effective_trace() / be.n
+        hits = sum(abs(inner_product_estimate(be, 0.01, 0.1, seed=s).value - overlap) <= 0.01
+                   for s in range(40))
         assert hits >= 36
 
 
@@ -214,9 +220,9 @@ class TestReportedCounts:
         assert est.queries_charged == est.reps * est.rounds * self.be.use_cost
 
     def test_inner_product_estimate(self):
-        est = inner_product_estimate(0.4, 0.01, 0.05, unit_cost=3.0)
+        est = inner_product_estimate(self.be, 0.01, 0.05)
         assert (est.reps, est.rounds) == (median_reps(0.05), ae_rounds_for(0.01))
-        assert est.queries_charged == est.reps * est.rounds * 3.0
+        assert est.queries_charged == est.reps * est.rounds * self.be.use_cost
 
     def test_hadamard_test_estimate(self):
         est = hadamard_test_estimate(0.2, 0.1, 0.05, unit_cost=5.0, seed=0)

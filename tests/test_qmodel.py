@@ -91,6 +91,10 @@ class TestEncodings:
         with pytest.raises(ValueError, match="use_cost"):
             BlockEncoding(**kw, use_cost=0.0)
 
+    def test_rejects_an_unknown_perturbation_mode(self):
+        with pytest.raises(ValueError, match="unknown perturbation mode 'foo': choose one of"):
+            qram_block_encoding(_contraction(), "foo")
+
     def test_is_frozen(self):
         be = qram_block_encoding(_contraction())
         with pytest.raises(dataclasses.FrozenInstanceError):
