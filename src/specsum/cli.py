@@ -131,7 +131,7 @@ def gen(n, kappa, profile, norm, seed, out):
               show_default=True)
 @click.option("--out", default="-", show_default=True, help="Output path, '-' for stdout.")
 @click.option("--exact-cap", type=int, default=1024, show_default=True,
-              help="Skip the exact oracle above this dimension.")
+              help="Above this dimension, leave exact and passed out of the report (null).")
 def estimate(matrix_path, algorithm, eps, delta, mode, seed, p,
              use_monomial_approx, fmt, out, exact_cap):
     """Run one estimator on a matrix and emit its report."""

@@ -169,9 +169,10 @@ def _require_spd_contraction(A: SymmetricMatrix, strict: bool = True) -> None:
         raise ValueError("estimator requires an SPD matrix")
     norm = A.stats.spectral_norm
     if strict and norm >= 1:
-        raise ValueError("||A|| >= 1: use the edge-case handler")
+        raise ValueError(f"||A|| = {norm!r} >= 1, but this estimator requires ||A|| < 1 (for "
+                         "a log-determinant use the edge-case handler, logdet_edge_cases)")
     if not strict and norm > 1 + 1e-12:
-        raise ValueError("estimator requires ||A|| <= 1")
+        raise ValueError(f"||A|| = {norm!r} > 1, but this estimator requires ||A|| <= 1")
 
 
 def _require_density(rho: SymmetricMatrix) -> None:
@@ -619,8 +620,9 @@ def logdet_qmc(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
 class Estimator(NamedTuple):
     """One entry of ALGORITHMS: an estimator and the input domain it takes.
 
-    The domain is "contraction" (SPD, ||A|| < 1), "density" (SPD, unit
-    trace) or "norm_at_least_one" (SPD, ||A|| >= 1).
+    The domain is "contraction" (SPD, ||A|| < 1; trace_inverse and
+    logdet_taylor also take ||A|| = 1), "density" (SPD, unit trace) or
+    "norm_at_least_one" (SPD, ||A|| >= 1).
     """
 
     run: Callable[[SymmetricMatrix, AlgoConfig], SpectralSumReport]

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -159,6 +160,16 @@ class TestEstimate:
                                    "schatten_p", "--p", str(p), *flags])
         assert res.exit_code == 2, res.output
         assert f"p = {p} is too large" in res.output
+
+    def test_schatten_at_norm_one_names_the_norm_and_the_requirement(self, tmp_path, runner):
+        path = str(tmp_path / "unit.mtx")
+        diag = [1.0, 0.5, 0.25, 0.125]
+        matrix_core.save_matrix_market(path, matrix_core.SymmetricMatrix(4, np.diag(diag)))
+        res = runner.invoke(main, ["estimate", "--matrix", path, "--algorithm", "schatten_p",
+                                   "--p", "2"])
+        assert res.exit_code == 2, res.output
+        assert "||A|| = 1.0 >= 1, but this estimator requires ||A|| < 1" in res.output
+        assert "for a log-determinant use the edge-case handler" in res.output
 
     def test_invalid_eps_exits_two(self, matrix_prefix, runner):
         res = runner.invoke(main, ["estimate", "--matrix", matrix_prefix + ".mtx",
