@@ -27,8 +27,9 @@ its inputs.
 
 Singular-value estimation is one vectorised draw over all n singular
 values (``sve_values``): exact, rounded half to even onto the grid of
-spacing eps1 (adversarial), or value j shifted by eps1 times a uniform
-draw in [-1, 1] from its own stream (seed, j) (stochastic).
+spacing eps1 (adversarial), or value j shifted by eps1 times draw j of
+n uniform draws in [-1, 1] from the one stream (seed, SVE_STREAM)
+(stochastic).
 ``sve_cost`` is the query cost of one SVE call.
 
 Cost convention: one application of the matrix-access unitary costs one
@@ -44,7 +45,7 @@ import numpy as np
 
 from .matrix_core import SymmetricMatrix, SpectralData
 from .polyapprox import ChebyshevSeries
-from .rng import PERTURBATION_STREAM, child_seed, stream
+from .rng import PERTURBATION_STREAM, SVE_STREAM, child_seed, stream
 
 __all__ = [
     "MODES",
@@ -342,8 +343,7 @@ def sve_values(source: SpectralData, precision: float, mode: str, seed: int) -> 
     if mode == "adversarial":
         return np.round(sv / precision) * precision
     if mode == "stochastic":
-        u = np.array([stream(seed, j).uniform(-1.0, 1.0) for j in range(sv.shape[0])])
-        return sv + precision * u
+        return sv + precision * stream(seed, SVE_STREAM).uniform(-1.0, 1.0, sv.shape[0])
     raise ValueError(f"unknown SVE mode: {mode!r}")
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "PERTURBATION_STREAM",
     "HADAMARD_STREAM",
     "PROBE_STREAM",
+    "SVE_STREAM",
 ]
 
 _MASK63 = 0x7FFFFFFFFFFFFFFF
@@ -36,6 +37,7 @@ QMC_STREAM = 0xD  # quantum Monte Carlo mean estimation
 PERTURBATION_STREAM = 0xE  # block-encoding perturbations
 HADAMARD_STREAM = 23  # Hadamard-test sampling
 PROBE_STREAM = 29  # the classical baselines' probe ensemble
+SVE_STREAM = 0x5E  # stochastic singular-value estimation, one draw per value
 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:

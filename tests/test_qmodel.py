@@ -19,7 +19,7 @@ from specsum.qmodel import (
     sve_cost,
     sve_values,
 )
-from specsum.rng import stream
+from specsum.rng import SVE_STREAM, stream
 
 from dense_views import dense, eigenbasis
 
@@ -209,13 +209,15 @@ class TestSveValues:
         assert est.tolist() == [round(s / eps1) * eps1 for s in sv]
         assert np.all(np.abs(est - sv) <= eps1 / 2 + 1e-15)
 
-    def test_stochastic_mode_draws_one_stream_per_index(self):
+    def test_stochastic_mode_draws_one_stream(self):
         A, sv = self._sv()
         eps1 = 1e-3
         est = sve_values(A.spectral, eps1, "stochastic", 9)
-        assert est.tolist() == [sv[j] + eps1 * stream(9, j).uniform(-1.0, 1.0)
-                                for j in range(A.n)]
+        assert est.tolist() == (sv + eps1 * stream(9, SVE_STREAM).uniform(-1.0, 1.0, A.n)).tolist()
         assert np.all(np.abs(est - sv) <= eps1)
+        # Draw j depends on the seed and j only, whatever the dimension.
+        small = with_spectrum(np.diag(sv[:5]), sv[:5], spd_flag=True)
+        assert sve_values(small.spectral, eps1, "stochastic", 9).tolist() == est[:5].tolist()
 
     def test_unknown_mode(self):
         A, _ = self._sv()

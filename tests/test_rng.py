@@ -38,7 +38,7 @@ class TestFixedStreams:
                 for rep in ([(r,) for r in range(3)] if name in self.PER_REPETITION else [()])]
 
     def test_declared_once(self):
-        assert len(self.NAMES) == 9
+        assert len(self.NAMES) == 10
         assert len({getattr(rng, name) for name in self.NAMES}) == len(self.NAMES)
 
     def test_distinct_after_zero_padding(self):
