@@ -49,15 +49,15 @@ def test_removed_paths_are_gone(module, name):
 
 
 def test_removed_parameters_are_gone():
-    from specsum.measurement import (
-        amplitude_estimate,
-        inner_product_estimate,
-        trace_estimate_abs,
-        trace_product_estimate,
-    )
+    from specsum.measurement import amplitude_estimate, trace_estimate_abs, trace_product_estimate
 
     assert "unit_cost" not in inspect.signature(amplitude_estimate).parameters
-    assert list(inspect.signature(inner_product_estimate).parameters) == [
-        "be", "eps", "delta", "seed"]
     for primitive in (trace_estimate_abs, trace_product_estimate):
         assert inspect.signature(primitive).parameters["delta"].default is inspect.Parameter.empty
+
+
+def test_inner_product_estimate_reads_cost_and_mode_from_the_encoding():
+    from specsum.measurement import inner_product_estimate
+
+    assert list(inspect.signature(inner_product_estimate).parameters) == [
+        "be", "eps", "delta", "seed"]

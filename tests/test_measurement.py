@@ -123,7 +123,7 @@ class TestInnerProduct:
 
     A = generate_spd(16, 10.0, "log_uniform", 0.5, 1)
 
-    def test_exact_reads_the_normalized_trace(self):
+    def test_exact(self):
         be = qram_block_encoding(self.A)
         est = inner_product_estimate(be, 0.01, 0.05)
         assert est.value == be.effective_trace() / be.n
