@@ -399,9 +399,9 @@ class TestSweep:
         rows = sweep("vn_entropy", "kappa", [5.0, 10.0, 5.0], n=16)
         inputs = [A for _, A, _ in rows]
         assert inputs[0] is inputs[2] and inputs[0] is not inputs[1]
-        for (kappa, A, rep), reference in zip(rows, (5.0, 10.0, 5.0)):
+        for kappa, A, rep in rows:
             assert np.trace(A.entries) == pytest.approx(1.0)
-            assert A.stats.kappa == pytest.approx(reference)
+            assert A.stats.kappa == pytest.approx(kappa)
             assert rep.algorithm == "vn_entropy"
 
     def test_n_and_p_axes_read_integers(self):
