@@ -39,6 +39,7 @@ from .spectral_sums import (
     SpectralSumReport,
     _report,
     _require_density,
+    _require_schatten_order,
     _require_spd_contraction,
 )
 
@@ -275,9 +276,7 @@ def classical_schatten_p(A: SymmetricMatrix, p: int, eps: float,
     2 exp(-d^2 / 2p) already meets the per-eigenvalue budget at degree
     d < p, and by the exact expansion otherwise.
     """
-    if p < 1 or p != int(p):
-        raise ValueError(f"p must be a positive integer, got {p!r}")
-    p = int(p)
+    p = _require_schatten_order(p)
     _require_eps(eps)
     _require_spd_contraction(A, strict=False)
     n = A.n

@@ -125,21 +125,16 @@ def gen(n, kappa, profile, norm, seed, out):
               default="exact", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--p", type=int, default=1, show_default=True, help="Schatten exponent.")
-@click.option("--use-monomial-approx", is_flag=True,
-              help="Replace the exact Schatten monomial with its truncated expansion.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
 @click.option("--out", default="-", show_default=True, help="Output path, '-' for stdout.")
 @click.option("--exact-cap", type=int, default=1024, show_default=True,
               help="Above this dimension, leave exact and passed out of the report (null).")
-def estimate(matrix_path, algorithm, eps, delta, mode, seed, p,
-             use_monomial_approx, fmt, out, exact_cap):
+def estimate(matrix_path, algorithm, eps, delta, mode, seed, p, fmt, out, exact_cap):
     """Run one estimator on a matrix and emit its report."""
     try:
         A = _load_spd(matrix_path)
-        cfg = AlgoConfig(eps=eps, delta=delta, mode=mode, seed=seed,
-                         algorithm=algorithm, p=p,
-                         use_monomial_approx=use_monomial_approx)
+        cfg = AlgoConfig(eps=eps, delta=delta, mode=mode, seed=seed, algorithm=algorithm, p=p)
         rep = run_algorithm(A, cfg)
     except (ValueError, CertificationError) as exc:
         raise click.UsageError(str(exc))
@@ -205,7 +200,7 @@ def sweep(n, kappa, profile, norm, matrix_seed, algorithm, axis, values,
               for value, A, rep in rows]
     _write("\n".join(lines) + "\n", out)
 
-    if len(vals) < 2:
+    if len(set(vals)) < 2:
         click.echo("fit: insufficient points")
         return
     slope, se = fit_loglog(axis, rows)

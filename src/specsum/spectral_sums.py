@@ -84,6 +84,9 @@ __all__ = [
 
 # Geometric grid factor for rounding cutoffs/tolerances down (caching).
 _GRID = 2.0 ** 0.25
+# A norm or eigenvalue within this of 1 counts as 1: strict contractions lie
+# below 1 - _UNIT_TOL, and logdet_edge_cases deflates such eigenvalues.
+_UNIT_TOL = 1e-10
 
 
 def _floor_grid(x: float) -> float:
@@ -108,8 +111,6 @@ class AlgoConfig:
         seed: Base RNG seed.
         algorithm: Estimator name, a key of ALGORITHMS.
         p: Schatten exponent (positive integer), used by schatten_p.
-        use_monomial_approx: Whether schatten_p replaces the exact
-            monomial with its truncated Chebyshev expansion.
     """
 
     eps: float = 0.1
@@ -118,7 +119,6 @@ class AlgoConfig:
     seed: int = 0
     algorithm: str = "logdet_svt"
     p: int = 1
-    use_monomial_approx: bool = False
 
     def __post_init__(self):
         if not (0 < self.eps < 1):
@@ -168,11 +168,19 @@ def _require_spd_contraction(A: SymmetricMatrix, strict: bool = True) -> None:
     if not A.spd_flag or A.spectral.eigenvalues[-1] <= 0:
         raise ValueError("estimator requires an SPD matrix")
     norm = A.stats.spectral_norm
-    if strict and norm >= 1:
-        raise ValueError(f"||A|| = {norm!r} >= 1, but this estimator requires ||A|| < 1 (for "
+    if strict and norm >= 1 - _UNIT_TOL:
+        where = ">= 1" if norm >= 1 else f"is 1 to within {_UNIT_TOL:g}"
+        raise ValueError(f"||A|| = {norm!r} {where}, but this estimator requires ||A|| < 1 (for "
                          "a log-determinant use the edge-case handler, logdet_edge_cases)")
     if not strict and norm > 1 + 1e-12:
         raise ValueError(f"||A|| = {norm!r} > 1, but this estimator requires ||A|| <= 1")
+
+
+def _require_schatten_order(p) -> int:
+    """The Schatten exponent p as an int; ValueError unless it is a positive integer."""
+    if not (p >= 1 and float(p).is_integer()):
+        raise ValueError(f"p must be a positive integer, got {p!r}")
+    return int(p)
 
 
 def _require_density(rho: SymmetricMatrix) -> None:
@@ -268,7 +276,7 @@ def logdet_edge_cases(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
 
     With ||A|| = 1, unit singular values are deflated and the SVT
     estimator runs on the remaining spectrum with a relative guarantee
-    on the deflated part; with every eigenvalue within 1e-10 of 1 it is 0,
+    on the deflated part; with every eigenvalue within _UNIT_TOL of 1 it is 0,
     with an absolute eps guarantee.  With ||A|| > 1 the matrix is rescaled to a
     contraction and the n log(alpha) shift is undone; the guarantee is
     absolute (n eps) because the shifted terms carry mixed signs.
@@ -277,13 +285,13 @@ def logdet_edge_cases(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
         raise ValueError("edge-case handler requires an SPD matrix")
     st = A.stats
     n, norm = A.n, st.spectral_norm
-    if norm < 1 - 1e-10:
+    if norm < 1 - _UNIT_TOL:
         raise ValueError("||A|| < 1: use logdet_svt directly")
     w = A.spectral.eigenvalues
     exact = exact_spectral_sum(A, "log")
     warnings: list = []
-    if abs(norm - 1.0) <= 1e-10:
-        unit_mask = np.abs(w - 1.0) <= 1e-10
+    if abs(norm - 1.0) <= _UNIT_TOL:
+        unit_mask = np.abs(w - 1.0) <= _UNIT_TOL
         m = int(np.sum(unit_mask))
         rest = np.asarray(w[~unit_mask])
         if rest.size == 0:
@@ -315,13 +323,12 @@ def schatten_p(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     """Schatten-p norm, p = cfg.p, via powered block-encodings and product-trace estimation.
 
     Decomposes p = 4q + r, raises the preamplified encoding of
-    B/2 = A^T A / 2 to the q-th power by SVT and to the r/4-th power by
-    the fractional-power combinator, and estimates Tr[B^{p/2}]
-    multiplicatively.  Relative eps guarantee.
+    B/2 = A^T A / 2 to the q-th power by SVT of the exact Chebyshev
+    expansion of x^q and to the r/4-th power by the fractional-power
+    combinator, and estimates Tr[B^{p/2}] multiplicatively.  Relative
+    eps guarantee.
     """
-    p = cfg.p
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    p = _require_schatten_order(cfg.p)
     _require_spd_contraction(A)
     st = A.stats
     n, kappa, norm = A.n, st.kappa, st.spectral_norm
@@ -339,12 +346,7 @@ def schatten_p(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     enc = None
     gamma2 = None
     if q >= 1:
-        if cfg.use_monomial_approx:
-            eps_mono = cfg.eps * norm ** (2 * p) / (8.0 * n)
-            d_mono = max(1, math.ceil(math.sqrt(2.0 * q * math.log(1.0 / eps_mono))))
-            mono = approx_monomial(q, d_mono)
-        else:
-            mono = approx_monomial(q, q)
+        mono = approx_monomial(q, q)
         half = type(mono)(
             degree=mono.degree,
             coefficients=np.asarray(mono.coefficients) / (2.0 * max(1.0, mono.global_bound)),

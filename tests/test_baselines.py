@@ -24,7 +24,7 @@ from specsum.polyapprox import (
     entropy_poly,
 )
 from specsum.rng import PROBE_STREAM, stream
-from specsum.spectral_sums import ALGORITHMS, AlgoConfig, vn_entropy
+from specsum.spectral_sums import ALGORITHMS, AlgoConfig, schatten_p, vn_entropy
 
 
 def _matrix(n=32, kappa=10.0, seed=1):
@@ -369,14 +369,22 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=match):
             estimator(rho)
 
-    def test_integral_float_p_is_accepted(self):
-        A, cfg = _matrix(), ProbeConfig(num_probes=16, seed=2)
-        assert (reporting.report_json(classical_schatten_p(A, 3.0, 0.1, cfg))
-                == reporting.report_json(classical_schatten_p(A, 3, 0.1, cfg)))
+    @pytest.mark.parametrize("schatten", [
+        lambda A, p: classical_schatten_p(A, p, 0.1, ProbeConfig(num_probes=16, seed=2)),
+        lambda A, p: schatten_p(A, AlgoConfig(eps=0.1, p=p)),
+    ], ids=["classical_schatten_p", "schatten_p"])
+    def test_integral_float_p_is_accepted(self, schatten):
+        A = _matrix()
+        assert (reporting.report_json(schatten(A, 3.0))
+                == reporting.report_json(schatten(A, 3)))
 
-    def test_fractional_p_names_the_cause(self):
+    @pytest.mark.parametrize("schatten", [
+        lambda A, p: classical_schatten_p(A, p, 0.1, ProbeConfig(num_probes=4)),
+        lambda A, p: schatten_p(A, AlgoConfig(eps=0.1, p=p)),
+    ], ids=["classical_schatten_p", "schatten_p"])
+    def test_fractional_p_names_the_cause(self, schatten):
         with pytest.raises(ValueError, match="p must be a positive integer, got 2.5"):
-            classical_schatten_p(_matrix(), 2.5, 0.1, ProbeConfig(num_probes=4))
+            schatten(_matrix(), 2.5)
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, 2.0, -0.1])
     @pytest.mark.parametrize("name", sorted(_ESTIMATORS))

@@ -148,16 +148,16 @@ class TestEstimate:
         assert res.returncode == 2, res.stderr
         assert "got shape 0 x 0" in res.stderr
 
-    @pytest.mark.parametrize("p, flags", [
-        (600, ["--use-monomial-approx"]),  # the monomial tolerance underflowed to 0
-        (2100, []),  # 2^(p/2) overflowed
-    ], ids=["p600-monomial", "p2100"])
-    def test_schatten_p_beyond_the_float_range_exits_two(self, tmp_path, runner, p, flags):
+    @pytest.mark.parametrize("p", [
+        600,  # the smallest Schatten tolerance, eps ||A||^(2p) / (2^(p/2) 64 n), underflows
+        2100,  # 2^(p/2) overflows
+    ], ids=["p600", "p2100"])
+    def test_schatten_p_beyond_the_float_range_exits_two(self, tmp_path, runner, p):
         prefix = str(tmp_path / "m")
         res = runner.invoke(main, ["gen", "--n", "16", "--kappa", "10", "--out", prefix])
         assert res.exit_code == 0, res.output
         res = runner.invoke(main, ["estimate", "--matrix", prefix + ".mtx", "--algorithm",
-                                   "schatten_p", "--p", str(p), *flags])
+                                   "schatten_p", "--p", str(p)])
         assert res.exit_code == 2, res.output
         assert f"p = {p} is too large" in res.output
 
@@ -170,6 +170,18 @@ class TestEstimate:
         assert res.exit_code == 2, res.output
         assert "||A|| = 1.0 >= 1, but this estimator requires ||A|| < 1" in res.output
         assert "for a log-determinant use the edge-case handler" in res.output
+
+    def test_generated_unit_norm_is_not_a_strict_contraction(self, domain_paths, runner):
+        # Read back from Matrix Market, the generated unit norm is 1 - 3e-16.
+        path = domain_paths["norm_at_least_one"]
+        res = runner.invoke(main, ["estimate", "--matrix", path, "--algorithm", "logdet_svt"])
+        assert res.exit_code == 2, res.output
+        assert ("||A|| = 0.9999999999999997 is 1 to within 1e-10, but this estimator "
+                "requires ||A|| < 1") in res.output
+        res = runner.invoke(main, ["estimate", "--matrix", path,
+                                   "--algorithm", "logdet_edge_cases"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["parameters"]["branch"] == "unit_norm"
 
     def test_invalid_eps_exits_two(self, matrix_prefix, runner):
         res = runner.invoke(main, ["estimate", "--matrix", matrix_prefix + ".mtx",
@@ -209,6 +221,15 @@ class TestSweep:
                                    "--out", str(tmp_path / "s.csv")])
         assert res.exit_code == 0, res.output
         assert "insufficient points" in res.output
+
+    def test_repeated_value_reports_insufficient(self, tmp_path, runner):
+        out = tmp_path / "s.csv"
+        res = runner.invoke(main, ["sweep", "--n", "16", "--algorithm", "logdet_svt",
+                                   "--axis", "kappa", "--values", "10,10",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert res.output == "fit: insufficient points\n"
+        assert len(out.read_text().strip().split("\n")) == 1 + 2
 
     def test_empty_values_usage_error(self, tmp_path, runner):
         res = runner.invoke(main, ["sweep", "--algorithm", "logdet_svt",

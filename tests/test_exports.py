@@ -49,9 +49,13 @@ def test_removed_paths_are_gone(module, name):
 
 
 def test_removed_parameters_are_gone():
+    from specsum.cli import estimate
     from specsum.measurement import amplitude_estimate, trace_estimate_abs, trace_product_estimate
+    from specsum.spectral_sums import AlgoConfig
 
     assert "unit_cost" not in inspect.signature(amplitude_estimate).parameters
+    assert "use_monomial_approx" not in inspect.signature(AlgoConfig).parameters
+    assert "--use-monomial-approx" not in {opt for param in estimate.params for opt in param.opts}
     for primitive in (trace_estimate_abs, trace_product_estimate):
         assert inspect.signature(primitive).parameters["delta"].default is inspect.Parameter.empty
 

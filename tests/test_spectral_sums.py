@@ -191,12 +191,20 @@ class TestSchattenP:
         exact = exact_spectral_sum(A, "x_pow_p", p=p) ** (1.0 / p)
         assert rep.exact == pytest.approx(exact)
         assert rep.passed
+        if p >= 4:
+            assert rep.parameters["monomial_degree"] == p // 4
 
-    def test_monomial_approx_path(self):
-        A = _matrix()
-        rep = schatten_p(A, AlgoConfig(eps=0.1, p=8, use_monomial_approx=True))
-        assert "monomial_degree" in rep.parameters
-        assert rep.passed
+    @pytest.mark.parametrize("norm", [0.999, 0.9999])
+    def test_near_unit_norm_passes_or_refuses(self, norm):
+        # The exact expansion of x^q keeps its guarantee up to the edge of the
+        # contraction domain; where the product-trace budget runs out it refuses.
+        A = generate_spd(16, 10.0, "log_uniform", norm, 0)
+        for p in range(4, 397, 4):
+            try:
+                rep = schatten_p(A, AlgoConfig(eps=0.1, p=p))
+            except ValueError:
+                continue
+            assert rep.passed, p
 
     def test_rejects_nonpositive_p(self):
         with pytest.raises(ValueError, match="positive"):
@@ -324,27 +332,26 @@ class TestReport:
 # power cost, so they carry the last bits of kappa as ``eigvalsh`` gives them.
 # sve_calls is 0 throughout.
 _LEDGER_PINS = {
-    ('logdet_svt', 1, False, 0.05): (147936402.0, 112158.0, 3698410050.0),
-    ('logdet_svt', 1, False, 0.01): (857412054.0, 560034.0, 21435301350.0),
-    ('trace_inverse', 1, False, 0.05): (5382980712.0, 3109752.0, 134574517800.0),
-    ('trace_inverse', 1, False, 0.01): (30755020032.0, 15548544.0, 768875500800.0),
-    ('schatten_p', 1, False, 0.05): (133214833322.44699, 0.0, 3330370833061.175),
-    ('schatten_p', 1, False, 0.01): (783452884797.4751, 0.0, 19586322119936.88),
-    ('schatten_p', 5, False, 0.05): (247879116140.48914, 0.0, 6196977903512.229),
-    ('schatten_p', 5, False, 0.01): (1397777460274.8972, 0.0, 34944436506872.43),
-    ('schatten_p', 6, True, 0.05): (282063412259.5611, 0.0, 7051585306489.027),
-    ('schatten_p', 6, True, 0.01): (1578949761764.0723, 0.0, 39473744044101.805),
+    ('logdet_svt', 1, 0.05): (147936402.0, 112158.0, 3698410050.0),
+    ('logdet_svt', 1, 0.01): (857412054.0, 560034.0, 21435301350.0),
+    ('trace_inverse', 1, 0.05): (5382980712.0, 3109752.0, 134574517800.0),
+    ('trace_inverse', 1, 0.01): (30755020032.0, 15548544.0, 768875500800.0),
+    ('schatten_p', 1, 0.05): (133214833322.44699, 0.0, 3330370833061.175),
+    ('schatten_p', 1, 0.01): (783452884797.4751, 0.0, 19586322119936.88),
+    ('schatten_p', 5, 0.05): (247879116140.48914, 0.0, 6196977903512.229),
+    ('schatten_p', 5, 0.01): (1397777460274.8972, 0.0, 34944436506872.43),
+    ('schatten_p', 6, 0.05): (282063412259.5611, 0.0, 7051585306489.027),
+    ('schatten_p', 6, 0.01): (1578949761764.0723, 0.0, 39473744044101.805),
 }
 
 
 @pytest.mark.parametrize("key", sorted(_LEDGER_PINS, key=repr))
 def test_ledger_pinned(key):
-    algorithm, p, mono, eps = key
+    algorithm, p, eps = key
     A = generate_spd(32, 10.0, "log_uniform", 0.5, 7)
     be_uses, ae_rounds, total = _LEDGER_PINS[key]
     for mode in ("exact", "adversarial", "stochastic"):
-        cfg = AlgoConfig(eps=eps, mode=mode, seed=3, algorithm=algorithm, p=p,
-                         use_monomial_approx=mono)
+        cfg = AlgoConfig(eps=eps, mode=mode, seed=3, algorithm=algorithm, p=p)
         assert run_algorithm(A, cfg).ledger.as_dict() == {
             "be_uses": be_uses, "sve_calls": 0.0, "ae_rounds": ae_rounds,
             "total_queries": total}

@@ -12,10 +12,9 @@ checkouts can be compared with ``diff``.  The sections are:
 - ``report``: report JSON and CSV of the 8 quantum-model estimators of
   the table (all but ``logdet_edge_cases``) x 3 modes x seeds 0, 1, 3, 11
   x eps 0.1, 0.05, 0.03 on four generated matrices (n 32 to 256, all
-  three profiles); ``schatten_p`` at p = 1-6 with and without the
-  monomial approximation; the five classical baselines, with Rademacher
-  and Gaussian probes; ``logdet_edge_cases`` and ``schatten_p`` on
-  identity, unit-norm and norm-3 inputs.
+  three profiles); ``schatten_p`` at p = 1-6; the five classical
+  baselines, with Rademacher and Gaussian probes; ``logdet_edge_cases``
+  and ``schatten_p`` on identity, unit-norm and norm-3 inputs.
 - ``estimate``: ``specsum estimate`` JSON and CSV for all nine
   algorithms in three modes, with exit codes.
 - ``sweep``: ``specsum sweep`` CSVs, fit lines, usage errors and exit
@@ -97,12 +96,9 @@ def report_lines() -> list[str]:
                                       lambda: run_algorithm(inp, cfg))
     for tag, A in mats[:2]:
         for p in range(1, 7):
-            for mono in (False, True):
-                for mode in MODES:
-                    cfg = AlgoConfig(eps=0.1, mode=mode, seed=1, algorithm="schatten_p", p=p,
-                                     use_monomial_approx=mono)
-                    lines += both(f"schatten_p {tag} p={p} mono={mono} {mode}",
-                                  lambda: run_algorithm(A, cfg))
+            for mode in MODES:
+                cfg = AlgoConfig(eps=0.1, mode=mode, seed=1, algorithm="schatten_p", p=p)
+                lines += both(f"schatten_p {tag} p={p} {mode}", lambda: run_algorithm(A, cfg))
     for tag, A in mats[:2]:
         rho = unit_trace(A)
         for kind, probes, seed in (("rademacher", 64, 0), ("rademacher", 256, 1),
