@@ -164,7 +164,7 @@ class SpectralSumReport:
 
 
 def _require_spd_contraction(A: SymmetricMatrix, strict: bool = True) -> None:
-    """Reject input that is not SPD, or not a (strict) contraction."""
+    """Reject input that is not SPD, or not a contraction (strict: ||A|| < 1 - _UNIT_TOL)."""
     if not A.spd_flag or A.spectral.eigenvalues[-1] <= 0:
         raise ValueError("estimator requires an SPD matrix")
     norm = A.stats.spectral_norm
@@ -276,7 +276,7 @@ def logdet_edge_cases(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
 
     With ||A|| = 1, unit singular values are deflated and the SVT
     estimator runs on the remaining spectrum with a relative guarantee
-    on the deflated part; with every eigenvalue within _UNIT_TOL of 1 it is 0,
+    on the deflated part; with every eigenvalue within 1e-10 of 1 it is 0,
     with an absolute eps guarantee.  With ||A|| > 1 the matrix is rescaled to a
     contraction and the n log(alpha) shift is undone; the guarantee is
     absolute (n eps) because the shifted terms carry mixed signs.

@@ -215,21 +215,15 @@ class TestSweep:
         assert lines[0].split(",")[0] == "sweep_eps"
         assert len(lines) == 1 + 3
 
-    def test_single_point_reports_insufficient(self, tmp_path, runner):
-        res = runner.invoke(main, ["sweep", "--n", "16", "--algorithm", "logdet_svt",
-                                   "--axis", "eps", "--values", "0.1",
-                                   "--out", str(tmp_path / "s.csv")])
-        assert res.exit_code == 0, res.output
-        assert "insufficient points" in res.output
-
-    def test_repeated_value_reports_insufficient(self, tmp_path, runner):
+    @pytest.mark.parametrize("axis, values", [("eps", "0.1"), ("kappa", "10,10")],
+                             ids=["one-value", "repeated-value"])
+    def test_single_point_reports_insufficient(self, tmp_path, runner, axis, values):
         out = tmp_path / "s.csv"
         res = runner.invoke(main, ["sweep", "--n", "16", "--algorithm", "logdet_svt",
-                                   "--axis", "kappa", "--values", "10,10",
-                                   "--out", str(out)])
+                                   "--axis", axis, "--values", values, "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert res.output == "fit: insufficient points\n"
-        assert len(out.read_text().strip().split("\n")) == 1 + 2
+        assert len(out.read_text().splitlines()) == 1 + len(values.split(","))
 
     def test_empty_values_usage_error(self, tmp_path, runner):
         res = runner.invoke(main, ["sweep", "--algorithm", "logdet_svt",
