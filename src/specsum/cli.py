@@ -200,10 +200,11 @@ def sweep(n, kappa, profile, norm, matrix_seed, algorithm, axis, values,
               for value, A, rep in rows]
     _write("\n".join(lines) + "\n", out)
 
-    if len(set(vals)) < 2:
+    try:
+        slope, se = fit_loglog(axis, rows)
+    except ValueError:
         click.echo("fit: insufficient points")
         return
-    slope, se = fit_loglog(axis, rows)
     click.echo(f"fit: slope={_g17(slope)} ci95=±{_g17(1.96 * se)} points={len(rows)}")
 
 

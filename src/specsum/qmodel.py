@@ -245,8 +245,14 @@ def apply_svt(be: BlockEncoding, p: ChebyshevSeries, nu: float = 1e-12) -> Block
     if p.global_bound > 0.5 + 1e-12:
         raise ValueError("SVT polynomial must satisfy |P| <= 1/2 on [-1, 1]")
     d = p.degree
-    # One Clenshaw pass over both rows: its cost is per degree, not per point.
-    exact, effective = p(np.clip(np.stack([be.payload_values, be.effective_values]), -1, 1))
+    # One evaluation over both rows: its cost is mostly per degree, not per
+    # point.  An unperturbed input has one row; the matrix product inside
+    # the evaluation may round a column by its position, so a second copy
+    # of that row would not come back bitwise equal.
+    if np.any(be.perturbation_values):
+        exact, effective = p(np.clip(np.stack([be.payload_values, be.effective_values]), -1, 1))
+    else:
+        exact = effective = p(np.clip(be.payload_values, -1, 1))
     new_seed = child_seed(be.seed, 1)
     extra = _draw_perturbation(exact, nu, be.perturbation_mode, new_seed)
     eps_out = 4 * d * math.sqrt(max(be.eps, 0.0) / be.alpha) + nu

@@ -693,13 +693,17 @@ def fit_loglog(axis: str, rows) -> tuple[float, float]:
     """Least-squares slope of log total_queries against log 1/eps (axis "eps") or log value.
 
     Returns:
-        (slope, standard error), the error nan when every x is equal.
+        (slope, standard error).
+
+    Raises:
+        ValueError: If the rows hold fewer than two distinct x.
     """
     xs = np.log([1.0 / value if axis == "eps" else value for value, _, _ in rows])
+    if len(np.unique(xs)) < 2:
+        raise ValueError("a slope needs at least two distinct axis values")
     ys = np.log([rep.ledger.total_queries for _, _, rep in rows])
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
     denom = float(np.sum((xs - xs.mean()) ** 2))
     dof = max(len(xs) - 2, 1)
-    se = math.sqrt(float(np.sum(resid**2)) / dof / denom) if denom > 0 else float("nan")
-    return float(slope), se
+    return float(slope), math.sqrt(float(np.sum(resid**2)) / dof / denom)

@@ -1,6 +1,9 @@
 """Tests for certified Chebyshev constructions."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -110,17 +113,59 @@ class TestChebval:
             assert np.allclose(cheb.chebval(x, unit), t[j], atol=1e-12)
 
 
-    @pytest.mark.parametrize("degree", [0, 1, 2, 2999])
-    def test_series_call_is_chebval_bitwise(self, degree):
+    @staticmethod
+    def _series(degree):
         rng = np.random.default_rng(degree)
         c = rng.standard_normal(degree + 1) / (1.0 + np.arange(degree + 1))
         s = ChebyshevSeries(degree=degree, coefficients=c, target="t",
                             certified_sup_error=0.0, certified_on=(-1.0, 1.0),
                             global_bound=0.5)
-        for x in (0.3, -1.0, rng.uniform(-1, 1, 257), rng.uniform(-1, 1, (2, 300))):
+        return s, c, (0.3, -1.0, 1.0, rng.uniform(-1, 1, 257), rng.uniform(-1, 1, (2, 300)))
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_series_call_is_chebval_bitwise(self, degree):
+        s, c, points = self._series(degree)
+        for x in points:
             got = s(x)
             assert np.shape(got) == np.shape(x)
             assert np.array_equal(got, cheb.chebval(x, c))
+
+    @pytest.mark.parametrize("degree", [2, 2999, 8177])
+    def test_series_call_is_chebval_within_rounding(self, degree):
+        s, c, points = self._series(degree)
+        bound = 4 * (degree + 1) * np.finfo(float).eps * np.sum(np.abs(c))
+        for x in points:
+            got = s(x)
+            assert np.shape(got) == np.shape(x)
+            assert np.max(np.abs(got - cheb.chebval(x, c))) <= bound
+
+    def test_values_do_not_depend_on_the_blas_thread_count(self):
+        # The evaluation's matrix product runs in OpenBLAS, whose thread
+        # count is fixed when numpy loads, so each count gets a process.
+        code = (
+            "import hashlib, numpy as np\n"
+            "from specsum.polyapprox import ChebyshevSeries\n"
+            "h = hashlib.sha256()\n"
+            "for d in (2, 30, 894, 8177):\n"
+            "    c = np.random.default_rng(d).standard_normal(d + 1) / (1.0 + np.arange(d + 1))\n"
+            "    s = ChebyshevSeries(degree=d, coefficients=c, target='t', certified_sup_error=0.0,\n"
+            "                        certified_on=(-1.0, 1.0), global_bound=0.5)\n"
+            "    for n in (33, 64, 256, 1024):\n"
+            "        x = np.random.default_rng(n).uniform(-1, 1, (2, n))\n"
+            "        h.update(s(x).tobytes())\n"
+            "        h.update(s(x[0]).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(polyapprox.__file__))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=env, timeout=120)
+            assert res.returncode == 0, res.stderr
+            digests.add(res.stdout)
+        assert len(digests) == 1
 
 
 class TestTaylorDegree:

@@ -135,6 +135,19 @@ class TestApplySvt:
         assert np.allclose(dense(out, V).payload, expected, atol=1e-10)
         assert out.use_cost == (3 + 1) * be.use_cost
 
+    @pytest.mark.parametrize("degree", [894, 3815, 8177])
+    def test_exact_input_stays_exact(self, degree):
+        # Payload and perturbed payload are equal here.  Evaluated as two
+        # rows of one matrix product, they came back apart in the last bit
+        # at degree 3815.
+        c = np.random.default_rng(degree).standard_normal(degree + 1) / (1.0 + np.arange(degree + 1))
+        p = ChebyshevSeries(degree=degree, coefficients=c * (0.5 / np.sum(np.abs(c))),
+                            target="t", certified_sup_error=0.0, certified_on=(-1.0, 1.0),
+                            global_bound=0.5)
+        out = apply_svt(qram_block_encoding(_contraction(n=33), mode="exact"), p)
+        assert not np.any(out.perturbation_values)
+        assert out.encoding_defect() == 0.0
+
     def test_rejects_unbounded_polynomial(self):
         be = qram_block_encoding(_contraction())
         loud = ChebyshevSeries(degree=1, coefficients=np.array([0.0, 0.9]),

@@ -443,7 +443,7 @@ class TestFitLoglog:
         slope, _ = fit_loglog("kappa", self._rows([10, 20, 40], [3.0, 3.0 * 2**1.5, 3.0 * 4**1.5]))
         assert slope == pytest.approx(1.5)
 
-    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
-    def test_equal_x_gives_no_standard_error(self):
-        _, se = fit_loglog("n", self._rows([16, 16], [5.0, 6.0]))
-        assert math.isnan(se)
+    @pytest.mark.parametrize("xs", [[16], [16, 16]])
+    def test_fewer_than_two_distinct_x_raise(self, xs):
+        with pytest.raises(ValueError, match="two distinct axis values"):
+            fit_loglog("n", self._rows(xs, [5.0, 6.0]))

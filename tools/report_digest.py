@@ -2,12 +2,14 @@
 
 Usage (from a checkout):
 
-    python tools/report_digest.py [--root CHECKOUT] [--out FILE]
+    python tools/report_digest.py [--root CHECKOUT] [--out FILE] [--section NAME ...]
 
 Imports specsum from CHECKOUT/src (default: the checkout holding this
 script) and prints, per section and in total, a line count and the
 SHA-256 of the lines.  ``--out FILE`` also writes the lines, so that two
-checkouts can be compared with ``diff``.  The sections are:
+checkouts can be compared with ``diff``.  ``--section NAME``, repeatable,
+builds only the named sections (in the order below) and totals those;
+without it every section is built.  The sections are:
 
 - ``report``: report JSON and CSV of the 8 quantum-model estimators of
   the table (all but ``logdet_edge_cases``) x 3 modes x seeds 0, 1, 3, 11
@@ -34,6 +36,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+SECTIONS = ("report", "estimate", "sweep", "verify")
 EPS = (0.1, 0.05, 0.03)
 SEEDS = (0, 1, 3, 11)
 MODES = ("exact", "stochastic", "adversarial")
@@ -193,6 +196,8 @@ def main() -> int:
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                         help="checkout whose src/ is digested (default: this one)")
     parser.add_argument("--out", type=Path, help="also write every line to this file")
+    parser.add_argument("--section", action="append", choices=SECTIONS,
+                        help="build only this section; repeatable (default: all)")
     args = parser.parse_args()
     src = str((args.root / "src").resolve())
     sys.path.insert(0, src)
@@ -203,12 +208,10 @@ def main() -> int:
 
     assert specsum.__file__.startswith(src), specsum.__file__
     with tempfile.TemporaryDirectory() as tmp:
-        sections = {
-            "report": report_lines(),
-            "estimate": estimate_lines(Path(tmp)),
-            "sweep": sweep_lines(Path(tmp)),
-            "verify": verify_lines(),
-        }
+        build = {"report": report_lines, "estimate": lambda: estimate_lines(Path(tmp)),
+                 "sweep": lambda: sweep_lines(Path(tmp)), "verify": verify_lines}
+        sections = {name: build[name]() for name in SECTIONS
+                    if name in (args.section or SECTIONS)}
     everything = [line for lines in sections.values() for line in lines]
     for name, lines in [*sections.items(), ("total", everything)]:
         digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
