@@ -82,11 +82,10 @@ _GRID_MARGIN = 1.0 / math.cos(math.pi / (2 * _OVERSAMPLE))
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Multiply-adds per matrix product in ChebyshevSeries.__call__.  OpenBLAS
-# runs a product of at most 2^18 on the calling thread whatever its thread
-# count, so the values do not depend on that count and no product waits
-# for a worker thread.  Larger two-thread products rounded some columns
-# differently from one-thread ones, and on a 2-vCPU VM some processes
-# waited 16 ms on every such product, against 0.05 ms computing it.
+# runs a product of at most 2^18 on the calling thread, whatever its thread
+# count.  Larger two-thread products rounded some columns differently from
+# one-thread ones, and on a 2-vCPU VM some processes waited 16 ms on each
+# (0.05 ms of work).
 _PRODUCT_MACS = 1 << 18
 
 
@@ -133,21 +132,18 @@ class ChebyshevSeries:
         """P(x) by baby-step giant-step evaluation (Paterson & Stockmeyer,
         SIAM J. Comput. 1973) in the Chebyshev basis.
 
-        With d = degree_used, m = floor(sqrt(d + 1)) and k = m i + j
-        (0 <= j < m), T_{a+b} = T_a T_b - (1 - x^2) U_{a-1} U_{b-1} gives
-
-            P = sum_i T_{mi} (C T)_i - (1 - x^2) sum_i U_{mi-1} (C U)_i,
-
-        with C[i, j] = c_{mi+j}.  The baby steps T_j and U_{j-1} (j <= m)
-        and the giant steps T_{mi} and U_{mi-1} all follow the three-term
-        recurrence, in x and in T_m, and the sums over j are one matrix
-        product, taken in column blocks of at most _PRODUCT_MACS
-        multiply-adds.  That is about 2 sqrt(d) recurrence steps of two
-        numpy calls each and 4 (d + 1) flops per point, where Clenshaw
-        takes d steps of four calls.  On [-1, 1] the values differ from
-        numpy's chebval by at most 4 (d + 1) ulp sum |c_k|; degrees 0 and
-        1 are chebval's, bit for bit.  A column's last bits may depend on
-        its position in x, not on the BLAS thread count.
+        With d = degree_used, m = floor(sqrt(d + 1)), C[i, j] = c_{mi+j}
+        and T_{a+b} = T_a T_b - (1 - x^2) U_{a-1} U_{b-1},
+        P = sum_i T_{mi} (C T)_i - (1 - x^2) sum_i U_{mi-1} (C U)_i.  The
+        baby steps T_j, U_{j-1} (j <= m) and the giant steps T_{mi},
+        U_{mi-1} follow the three-term recurrence, in x and in T_m; the
+        sums over j are one matrix product, in column blocks of at most
+        _PRODUCT_MACS multiply-adds.  Cost: about 2 sqrt(d) recurrence
+        steps of two numpy calls, and 4 (d + 1) flops per point (Clenshaw
+        takes d steps of four calls).  On [-1, 1] the values are within
+        4 (d + 1) ulp sum |c_k| of numpy's chebval, and equal to it for
+        d <= 1.  A value's last bits may depend on its position in x, but
+        not on the BLAS thread count.
         """
         c = self.coefficients
         x = np.asarray(x, dtype=float)
@@ -161,8 +157,8 @@ class ChebyshevSeries:
         C[: len(c)] = c
         v = x.reshape(-1)
         n = v.size
-        # Row j holds T_j(x) in columns [0, n), U_{j-1}(x) in [n, 2n), and
-        # zeros up to the width the product's column blocks fill.
+        # Row j holds T_j(x) in columns [0, n) and U_{j-1}(x) in [n, 2n); zero
+        # columns fill the product's last block.
         w = max(1, min(_PRODUCT_MACS // (r * m), 2 * n))
         blocks = -(-2 * n // w)
         baby = np.zeros((m + 1, blocks * w))
