@@ -164,10 +164,10 @@ class ChebyshevSeries:
         baby = np.zeros((m + 1, blocks * w))
         baby[0, :n] = 1.0
         baby[1, :n], baby[1, n : 2 * n] = v, 1.0
-        x2 = np.zeros(blocks * w)
-        x2[:n] = x2[n : 2 * n] = 2 * v
+        step = np.zeros(blocks * w)  # 2x, then 2 T_m(x): the recurrences' factor
+        step[:n] = step[n : 2 * n] = 2 * v
         for j in range(2, m + 1):
-            np.multiply(baby[j - 1], x2, out=baby[j])
+            np.multiply(baby[j - 1], step, out=baby[j])
             baby[j] -= baby[j - 2]
         prod = np.empty((r, blocks * w))
         np.matmul(C.reshape(r, m), baby[:m].reshape(m, blocks, w).transpose(1, 0, 2),
@@ -176,9 +176,9 @@ class ChebyshevSeries:
         giant = np.empty_like(prod)
         giant[0] = baby[0]
         giant[1] = baby[m]
-        x2[:n] = x2[n : 2 * n] = 2 * baby[m, :n]  # now 2 T_m(x)
+        step[:n] = step[n : 2 * n] = 2 * baby[m, :n]
         for i in range(2, r):
-            np.multiply(giant[i - 1], x2, out=giant[i])
+            np.multiply(giant[i - 1], step, out=giant[i])
             giant[i] -= giant[i - 2]
         giant *= prod
         s = giant.sum(axis=0)
