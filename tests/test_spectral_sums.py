@@ -443,7 +443,7 @@ class TestFitLoglog:
         slope, _ = fit_loglog("kappa", self._rows([10, 20, 40], [3.0, 3.0 * 2**1.5, 3.0 * 4**1.5]))
         assert slope == pytest.approx(1.5)
 
-    @pytest.mark.parametrize("xs", [[16], [16, 16]])
+    @pytest.mark.parametrize("xs", [[16], [16, 16]], ids=["one-x", "repeated-x"])
     def test_fewer_than_two_distinct_x_raise(self, xs):
         with pytest.raises(ValueError, match="two distinct axis values"):
             fit_loglog("n", self._rows(xs, [5.0, 6.0]))
