@@ -36,11 +36,12 @@ from .polyapprox import (
 from .qmodel import CostLedger
 from .rng import PROBE_STREAM, stream
 from .spectral_sums import (
+    _CLOSED_CONTRACTION,
+    _CONTRACTION,
+    _DENSITY,
     SpectralSumReport,
     _report,
-    _require_density,
     _require_schatten_order,
-    _require_spd_contraction,
 )
 
 __all__ = [
@@ -155,7 +156,7 @@ def classical_logdet_taylor(A: SymmetricMatrix, eps: float,
     other half of the budget to the probe average.
     """
     _require_eps(eps)
-    _require_spd_contraction(A)
+    _CONTRACTION.check(A)
     n = A.n
     kappa_eff = 1.0 / float(A.spectral.eigenvalues[-1])
     m = taylor_logdet_degree(kappa_eff, eps / 2.0)
@@ -187,13 +188,10 @@ def classical_logdet_chebyshev(A: SymmetricMatrix, eps: float,
     half the relative budget.
     """
     _require_eps(eps)
-    _require_spd_contraction(A)
+    _CONTRACTION.check(A)
     n = A.n
     norm = A.stats.spectral_norm
-    lam_min = float(A.spectral.eigenvalues[-1])
-    delta_c = min(lam_min, 1.0 - norm)
-    if delta_c <= 0:
-        raise ValueError("spectrum outside [delta, 1 - delta]")
+    delta_c = min(float(A.spectral.eigenvalues[-1]), 1.0 - norm)
     per_dim = eps / 2.0 * math.log(1.0 / norm)
     coeffs, d, trunc_per_n = chebyshev_logdet_setup(delta_c, per_dim)
     scale = 1.0 / (1.0 - 2.0 * delta_c)
@@ -220,7 +218,7 @@ def classical_entropy(rho: SymmetricMatrix, eps: float,
     eps/2 across the n eigenvalues, the probe average takes the rest.
     """
     _require_eps(eps)
-    _require_density(rho)
+    _DENSITY.check(rho)
     n = rho.n
     beta = float(rho.spectral.eigenvalues[-1])
     big_l = math.log(2.0 / beta)
@@ -248,7 +246,7 @@ def classical_trace_inverse(A: SymmetricMatrix, eps: float,
     polynomial error below (eps/2) per dimension.
     """
     _require_eps(eps)
-    _require_spd_contraction(A, strict=False)
+    _CLOSED_CONTRACTION.check(A)
     n = A.n
     delta_v = float(A.spectral.eigenvalues[-1])
     eps1 = 3.0 * eps * delta_v / 16.0
@@ -278,7 +276,7 @@ def classical_schatten_p(A: SymmetricMatrix, p: int, eps: float,
     """
     p = _require_schatten_order(p)
     _require_eps(eps)
-    _require_spd_contraction(A, strict=False)
+    _CLOSED_CONTRACTION.check(A)
     n = A.n
     norm = A.stats.spectral_norm
     # Per-eigenvalue truncation budget relative to Tr[A^p] >= ||A||^p.

@@ -63,6 +63,9 @@ __all__ = [
 
 MODES = ("exact", "stochastic", "adversarial")
 
+# A norm within this of an edge of an estimator's input domain counts as the edge.
+_UNIT_TOL = 1e-10
+
 
 def polylog(n: int) -> float:
     """The fixed polylog(n) convention: ceil(log2 n)^2, at least 1."""
@@ -203,9 +206,9 @@ def qram_block_encoding(A: SymmetricMatrix, mode: str = "exact", seed: int = 0) 
         the source ``A.spectral``.
 
     Raises:
-        ValueError: If ||A|| > 1.
+        ValueError: If ||A|| > 1 + _UNIT_TOL.
     """
-    if A.stats.spectral_norm > 1 + 1e-12:
+    if A.stats.spectral_norm > 1 + _UNIT_TOL:
         raise ValueError("qram encoding requires ||A|| <= 1")
     mu = A.stats.mu
     return BlockEncoding(
@@ -277,7 +280,7 @@ def product_preamplified(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncodin
     cost is alpha1*(q1+T1) + alpha2*(q2+T2).
     """
     for be in (be1, be2):
-        if np.max(np.abs(be.alpha * be.payload_values)) > 1 + 1e-10:
+        if np.max(np.abs(be.alpha * be.payload_values)) > 1 + _UNIT_TOL:
             raise ValueError("preamplified product requires ||target|| <= 1")
     if be1.source is not be2.source:
         raise ValueError("product requires encodings that share one eigenbasis")

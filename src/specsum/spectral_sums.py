@@ -21,9 +21,11 @@ reports record both the formula value and the value used.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,6 +40,7 @@ from .polyapprox import (
     entropy_poly,
 )
 from .qmodel import (
+    _UNIT_TOL,
     BlockEncoding,
     CostLedger,
     apply_svt,
@@ -66,6 +69,7 @@ __all__ = [
     "MODES",
     "AlgoConfig",
     "SpectralSumReport",
+    "Domain",
     "Estimator",
     "logdet_svt",
     "logdet_edge_cases",
@@ -84,9 +88,6 @@ __all__ = [
 
 # Geometric grid factor for rounding cutoffs/tolerances down (caching).
 _GRID = 2.0 ** 0.25
-# A norm or eigenvalue within this of 1 counts as 1: strict contractions lie
-# below 1 - _UNIT_TOL, and logdet_edge_cases deflates such eigenvalues.
-_UNIT_TOL = 1e-10
 
 
 def _floor_grid(x: float) -> float:
@@ -163,17 +164,55 @@ class SpectralSumReport:
         return abs(self.estimate.value - self.exact) <= self.guarantee_bound
 
 
-def _require_spd_contraction(A: SymmetricMatrix, strict: bool = True) -> None:
-    """Reject input that is not SPD, or not a contraction (strict: ||A|| < 1 - _UNIT_TOL)."""
-    if not A.spd_flag or A.spectral.eigenvalues[-1] <= 0:
-        raise ValueError("estimator requires an SPD matrix")
-    norm = A.stats.spectral_norm
-    if strict and norm >= 1 - _UNIT_TOL:
-        where = ">= 1" if norm >= 1 else f"is 1 to within {_UNIT_TOL:g}"
-        raise ValueError(f"||A|| = {norm!r} {where}, but this estimator requires ||A|| < 1 (for "
-                         "a log-determinant use the edge-case handler, logdet_edge_cases)")
-    if not strict and norm > 1 + 1e-12:
-        raise ValueError(f"||A|| = {norm!r} > 1, but this estimator requires ||A|| <= 1")
+# Norm-bound operator -> (its test, the side of the edge it tests, the operator refusing ||A||).
+_NORM_OPS = {"<": (operator.lt, -1, ">="), "<=": (operator.le, 1, ">"), ">=": (operator.ge, -1, "<")}
+
+
+class Domain(NamedTuple):
+    """An estimator's input domain: SPD A (spd_flag set, lambda_min > 0) within a norm bound.
+
+    ``norm`` is an operator and an edge, such as "<= 1/2"; a norm within _UNIT_TOL of
+    the edge counts as the edge, so "< 1" takes ||A|| < 1 - _UNIT_TOL and "<= 1" takes
+    ||A|| <= 1 + _UNIT_TOL.  A ``unit_trace`` domain also needs |Tr A - 1| <= _UNIT_TOL.
+    ``name`` is "contraction", "density" or "norm_at_least_one"; ``hint`` ends the
+    message refusing ||A||.
+    """
+
+    name: str
+    norm: str
+    unit_trace: bool = False
+    hint: str = ""
+
+    def check(self, A: SymmetricMatrix) -> None:
+        """ValueError naming the quantity, its value and its range unless A is in the domain."""
+        lam_min = float(A.spectral.eigenvalues[-1])
+        if not (A.spd_flag and lam_min > 0):
+            raise ValueError(f"smallest eigenvalue = {lam_min!r} with spd_flag {A.spd_flag}, but "
+                             "this estimator requires an SPD matrix (spd_flag, eigenvalues > 0)")
+        tr = float(np.trace(np.asarray(A.entries))) if self.unit_trace else 1.0
+        if abs(tr - 1.0) > _UNIT_TOL:
+            raise ValueError(f"Tr A = {tr!r}, but this estimator requires unit trace "
+                             f"(|Tr A - 1| <= {_UNIT_TOL:g})")
+        op, text = self.norm.split()
+        test, side, refused = _NORM_OPS[op]
+        norm, edge = A.stats.spectral_norm, float(Fraction(text))
+        if not test(norm, edge + side * _UNIT_TOL):
+            where = f"is {text} to within {_UNIT_TOL:g}" if test(norm, edge) else f"{refused} {text}"
+            raise ValueError(f"||A|| = {norm!r} {where}, but this estimator requires "
+                             f"||A|| {self.norm}{self.hint}")
+
+    def input(self, A: SymmetricMatrix) -> SymmetricMatrix:
+        """What an estimator of this domain runs on for an SPD A: A / Tr A if unit_trace, else A."""
+        return unit_trace(A) if self.unit_trace else A
+
+
+# The domains of ALGORITHMS, which the classical baselines check too.
+_CONTRACTION = Domain("contraction", "< 1", hint=" (for a log-determinant use the edge-case "
+                      "handler, logdet_edge_cases)")
+_CLOSED_CONTRACTION = Domain("contraction", "<= 1")
+_HALF_CONTRACTION = Domain("contraction", "<= 1/2", hint=" (rescale A first)")
+_DENSITY = Domain("density", "<= 1", unit_trace=True)
+_NORM_AT_LEAST_ONE = Domain("norm_at_least_one", ">= 1", hint=" (for ||A|| < 1 use logdet_svt)")
 
 
 def _require_schatten_order(p) -> int:
@@ -181,16 +220,6 @@ def _require_schatten_order(p) -> int:
     if not (p >= 1 and float(p).is_integer()):
         raise ValueError(f"p must be a positive integer, got {p!r}")
     return int(p)
-
-
-def _require_density(rho: SymmetricMatrix) -> None:
-    """Reject input without unit trace or with an eigenvalue <= 0."""
-    tr = float(np.trace(np.asarray(rho.entries)))
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"density input requires unit trace, got {tr!r}")
-    w_min = float(rho.spectral.eigenvalues[-1])
-    if w_min <= 0:
-        raise ValueError(f"eigenvalue {w_min:.3e} below the certified domain cutoff")
 
 
 def _report(algorithm: str, seed: int, value: float, exact: float | None, guarantee: str,
@@ -236,7 +265,7 @@ def logdet_svt(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     state overlap, and rescales.  Relative eps guarantee for SPD
     contractions.
     """
-    _require_spd_contraction(A)
+    _CONTRACTION.check(A)
     st = A.stats
     n, alpha, kappa, norm = A.n, st.mu, st.kappa, st.spectral_norm
     lam_min = norm / kappa
@@ -281,12 +310,9 @@ def logdet_edge_cases(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     contraction and the n log(alpha) shift is undone; the guarantee is
     absolute (n eps) because the shifted terms carry mixed signs.
     """
-    if not A.spd_flag:
-        raise ValueError("edge-case handler requires an SPD matrix")
+    _NORM_AT_LEAST_ONE.check(A)
     st = A.stats
     n, norm = A.n, st.spectral_norm
-    if norm < 1 - _UNIT_TOL:
-        raise ValueError("||A|| < 1: use logdet_svt directly")
     w = A.spectral.eigenvalues
     exact = exact_spectral_sum(A, "log")
     warnings: list = []
@@ -329,7 +355,7 @@ def schatten_p(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     eps guarantee.
     """
     p = _require_schatten_order(cfg.p)
-    _require_spd_contraction(A)
+    _CONTRACTION.check(A)
     st = A.stats
     n, kappa, norm = A.n, st.kappa, st.spectral_norm
     # Every tolerance derived below is at least eps ||A||^{2p} / (2^{p/2} 64 n),
@@ -382,10 +408,9 @@ def schatten_p(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
 def vn_entropy(rho: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     """Von Neumann entropy via SVT of the -x log x series.
 
-    Requires unit trace and nonzero eigenvalues above the certified
-    cutoff.  Absolute eps guarantee.
+    Requires an SPD matrix with unit trace.  Absolute eps guarantee.
     """
-    _require_density(rho)
+    _DENSITY.check(rho)
     w = rho.spectral.eigenvalues
     st = rho.stats
     n, mu, kappa, norm = rho.n, st.mu, st.kappa, st.spectral_norm
@@ -422,7 +447,7 @@ def trace_inverse(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     Relative eps guarantee for SPD contractions, using
     Tr[A^{-1}] >= n when ||A|| <= 1.
     """
-    _require_spd_contraction(A, strict=False)
+    _CLOSED_CONTRACTION.check(A)
     st = A.stats
     n, mu, kappa, norm = A.n, st.mu, st.kappa, st.spectral_norm
     lam_min = float(A.spectral.eigenvalues[-1])
@@ -460,7 +485,7 @@ def logdet_sve(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     P = (C^2/||A||_F^2) sum_j (sigma_j/sigma~_j)^2 |log sigma~_j| with
     C = min_j sigma~_j / sqrt(|log sigma~_j|) and inverts it.
     """
-    _require_spd_contraction(A)
+    _CONTRACTION.check(A)
     st = A.stats
     n, mu, kappa, norm, fro = A.n, st.mu, st.kappa, st.spectral_norm, st.frobenius_norm
     kappa_eff = kappa / norm
@@ -502,7 +527,7 @@ def logdet_taylor(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     L = (1/mn) sum_{k<=m} sum_j (1 - sigma~_j)^k / k with SVE-rounded
     singular values, estimates it, and returns -m n L.
     """
-    _require_spd_contraction(A, strict=False)
+    _CLOSED_CONTRACTION.check(A)
     st = A.stats
     n, mu, kappa, norm = A.n, st.mu, st.kappa, st.spectral_norm
     kappa_eff = kappa / norm
@@ -544,13 +569,11 @@ def logdet_chebyshev(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     1/eps_1^2 repetition count gives this variant its quadratic
     precision cost.
     """
-    _require_spd_contraction(A)
+    _CONTRACTION.check(A)
     st = A.stats
     n, mu, kappa, norm = A.n, st.mu, st.kappa, st.spectral_norm
     lam_min = float(A.spectral.eigenvalues[-1])
     delta_c = min(lam_min, 1.0 - norm)
-    if delta_c <= 0:
-        raise ValueError("spectrum outside [delta, 1 - delta]")
     coeffs, d, trunc_per_n = chebyshev_logdet_setup(delta_c, cfg.eps)
     eps1 = cfg.eps / max(math.log(d), 1.0)
     c_const = float(np.sum(np.abs(coeffs)))
@@ -584,13 +607,11 @@ def logdet_qmc(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
 
     SVE rounds the spectrum, then the uniform mean of log(1/sigma~_j)
     is estimated with relative precision and scaled by n.  Requires
-    the spectrum inside [1/kappa_eff, 1/2].
+    ||A|| <= 1/2.
     """
-    _require_spd_contraction(A)
+    _HALF_CONTRACTION.check(A)
     st = A.stats
     n, mu, kappa, norm = A.n, st.mu, st.kappa, st.spectral_norm
-    if norm > 0.5 + 1e-12:
-        raise ValueError("spectrum outside [1/kappa, 1/2]: rescale first")
     kappa_eff = kappa / norm
     eps1_formula = cfg.eps / kappa_eff
     eps1 = cfg.eps / (2.2 * kappa_eff)
@@ -620,31 +641,22 @@ def logdet_qmc(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
 
 
 class Estimator(NamedTuple):
-    """One entry of ALGORITHMS: an estimator and the input domain it takes.
-
-    The domain is "contraction" (SPD, ||A|| < 1; trace_inverse and
-    logdet_taylor also take ||A|| = 1), "density" (SPD, unit trace) or
-    "norm_at_least_one" (SPD, ||A|| >= 1).
-    """
+    """One entry of ALGORITHMS: an estimator and the Domain it checks its input against."""
 
     run: Callable[[SymmetricMatrix, AlgoConfig], SpectralSumReport]
-    domain: str
-
-    def input(self, A: SymmetricMatrix) -> SymmetricMatrix:
-        """What this estimator runs on for an SPD A: A / Tr A on the density domain, else A."""
-        return unit_trace(A) if self.domain == "density" else A
+    domain: Domain
 
 
 ALGORITHMS = {
-    "logdet_svt": Estimator(logdet_svt, "contraction"),
-    "logdet_edge_cases": Estimator(logdet_edge_cases, "norm_at_least_one"),
-    "schatten_p": Estimator(schatten_p, "contraction"),
-    "vn_entropy": Estimator(vn_entropy, "density"),
-    "trace_inverse": Estimator(trace_inverse, "contraction"),
-    "logdet_sve": Estimator(logdet_sve, "contraction"),
-    "logdet_taylor": Estimator(logdet_taylor, "contraction"),
-    "logdet_chebyshev": Estimator(logdet_chebyshev, "contraction"),
-    "logdet_qmc": Estimator(logdet_qmc, "contraction"),
+    "logdet_svt": Estimator(logdet_svt, _CONTRACTION),
+    "logdet_edge_cases": Estimator(logdet_edge_cases, _NORM_AT_LEAST_ONE),
+    "schatten_p": Estimator(schatten_p, _CONTRACTION),
+    "vn_entropy": Estimator(vn_entropy, _DENSITY),
+    "trace_inverse": Estimator(trace_inverse, _CLOSED_CONTRACTION),
+    "logdet_sve": Estimator(logdet_sve, _CONTRACTION),
+    "logdet_taylor": Estimator(logdet_taylor, _CLOSED_CONTRACTION),
+    "logdet_chebyshev": Estimator(logdet_chebyshev, _CONTRACTION),
+    "logdet_qmc": Estimator(logdet_qmc, _HALF_CONTRACTION),
 }
 
 
@@ -674,7 +686,7 @@ def sweep(algorithm: str, axis: str, values, *, n: int = 64, kappa: float = 10.0
     for value in values:
         key = (int(value) if axis == "n" else n, value if axis == "kappa" else kappa)
         if key not in inputs:
-            A = ALGORITHMS[algorithm].input(generate_spd(*key, profile, norm, matrix_seed))
+            A = ALGORITHMS[algorithm].domain.input(generate_spd(*key, profile, norm, matrix_seed))
             A.spectral, A.stats
             inputs[key] = A
         cells += [(value, inputs[key], seed) for seed in seeds]

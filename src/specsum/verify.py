@@ -42,7 +42,7 @@ _GRID_NK = [(n, k) for n in (32, 64, 128) for k in (5, 10, 50)]
 # Estimators exercised by the soundness criteria: every one whose domain a
 # generated matrix reaches (vn_entropy through A / Tr A); schatten cycles p.
 _SOUND_ALGOS = [name for name, entry in ALGORITHMS.items()
-                if entry.domain != "norm_at_least_one"]
+                if entry.domain.name != "norm_at_least_one"]
 
 # Scaling-law sweeps on generate_spd(64, 10, "log_uniform", 0.5, 7) and its
 # kappa variants: (axis, algorithm, axis values, slope interval).
@@ -154,7 +154,7 @@ def _soundness_runs(mode: str, count: int, delta: float):
         for algo in _SOUND_ALGOS:
             cfg = AlgoConfig(eps=0.1, delta=delta, mode=mode, seed=2000 + i,
                              algorithm=algo, p=1 + i % 4)
-            yield algo, run_algorithm(ALGORITHMS[algo].input(A), cfg)
+            yield algo, run_algorithm(ALGORITHMS[algo].domain.input(A), cfg)
 
 
 def criterion_exact_soundness() -> CriterionResult:

@@ -439,9 +439,10 @@ class TestEigenbasis:
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_quantum_reports_independent_of_baselines(self, name, monkeypatch):
         est = ALGORITHMS[name]
-        cap = 1.0 if est.domain == "norm_at_least_one" else 0.5
-        cold, warm = (est.input(generate_spd(16, 4.0, "log_uniform", cap, 2)) for _ in range(2))
-        self._run_baselines(warm, est.domain)
+        cap = 1.0 if est.domain.name == "norm_at_least_one" else 0.5
+        cold, warm = (est.domain.input(generate_spd(16, 4.0, "log_uniform", cap, 2))
+                      for _ in range(2))
+        self._run_baselines(warm, est.domain.name)
         assert "eigenbasis" in warm._cache
         cfg = AlgoConfig(algorithm=name, mode="stochastic", seed=3, p=3)
         calls = _eigh_counter(monkeypatch)

@@ -106,7 +106,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("name", sorted(spectral_sums.ALGORITHMS))
     def test_every_algorithm_on_its_domain_input(self, domain_paths, runner, name):
-        path = domain_paths[spectral_sums.ALGORITHMS[name].domain]
+        path = domain_paths[spectral_sums.ALGORITHMS[name].domain.name]
         res = runner.invoke(main, ["estimate", "--matrix", path, "--algorithm", name])
         assert res.exit_code == 0, res.output
 

@@ -366,7 +366,7 @@ class TestNoDenseWorkOnWarmMatrices:
     def test_each_quantum_estimator(self, counters, mode):
         inputs = _INPUTS[64]
         cases = [(name, p, kind) for name, entry in spectral_sums.ALGORITHMS.items()
-                 for kind in _DOMAIN_INPUTS[entry.domain]
+                 for kind in _DOMAIN_INPUTS[entry.domain.name]
                  for p in (range(1, 7) if name == "schatten_p" else (1,))]
         for M in inputs.values():
             M.stats

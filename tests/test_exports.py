@@ -37,6 +37,8 @@ def test_cost_ledger_has_no_charge():
     ("baselines", "_quadform_samples"),
     ("spectral_sums", "_relative_bound"),
     ("spectral_sums", "_NU"),
+    ("spectral_sums", "_require_spd_contraction"),
+    ("spectral_sums", "_require_density"),
     ("verify", "_fit_slope"),
     ("verify", "_sweep_queries"),
     ("cli", "ThreadPoolExecutor"),

@@ -285,7 +285,7 @@ class TestAppendixVariants:
 class TestRunAlgorithm:
     def test_dispatch_table_covers_names(self):
         for name, entry in ALGORITHMS.items():
-            for A in _DOMAIN_INPUTS[entry.domain]:
+            for A in _DOMAIN_INPUTS[entry.domain.name]:
                 rep = run_algorithm(A, AlgoConfig(algorithm=name))
                 assert rep.algorithm == ("schatten_1" if name == "schatten_p" else name)
 
@@ -298,10 +298,20 @@ class TestRunAlgorithm:
             run_algorithm(_matrix(), AlgoConfig(algorithm="logdet_magic"))
 
 
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_indefinite_input_is_refused_as_not_spd(name, flag):
+    # ||A|| >= 1 and unit trace: only the SPD rule refuses it on every domain.
+    m = SymmetricMatrix(2, np.diag([1.1, -0.1]), spd_flag=flag)
+    with pytest.raises(ValueError, match=f"smallest eigenvalue = -0.1 with spd_flag {flag}, "
+                                         "but this estimator requires an SPD matrix"):
+        run_algorithm(m, AlgoConfig(algorithm=name))
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_report_states_the_request_and_one_bound(name, mode):
-    for A in _DOMAIN_INPUTS[ALGORITHMS[name].domain]:
+    for A in _DOMAIN_INPUTS[ALGORITHMS[name].domain.name]:
         rep = run_algorithm(A, AlgoConfig(eps=0.2, delta=0.1, mode=mode, seed=3, algorithm=name))
         requested = {k: rep.parameters.get(k) for k in ("eps", "delta", "mode")}
         assert requested == {"eps": 0.2, "delta": 0.1, "mode": mode}, rep.parameters
@@ -361,7 +371,7 @@ def test_ledger_pinned(key):
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_ledger_follows_the_primitive_counts(name, mode):
     """Each ledger is the one rule over the counts its primitive reports."""
-    for A in _DOMAIN_INPUTS[ALGORITHMS[name].domain]:
+    for A in _DOMAIN_INPUTS[ALGORITHMS[name].domain.name]:
         rep = run_algorithm(A, AlgoConfig(eps=0.2, delta=0.1, mode=mode, seed=3,
                                           algorithm=name, p=5))
         led, par = rep.ledger.as_dict(), rep.parameters

@@ -90,7 +90,7 @@ def report_lines() -> list[str]:
     table = [name for name in ALGORITHMS if name != "logdet_edge_cases"]
     for tag, A in mats:
         for name in table:
-            inp = ALGORITHMS[name].input(A)
+            inp = ALGORITHMS[name].domain.input(A)
             for mode in MODES:
                 for seed in SEEDS:
                     for eps in EPS:
@@ -157,7 +157,7 @@ def estimate_lines(tmp: Path) -> list[str]:
     for name in sorted(ALGORITHMS):
         for mode in MODES:
             for fmt in ("json", "csv"):
-                args = ["estimate", "--matrix", str(paths[ALGORITHMS[name].domain]),
+                args = ["estimate", "--matrix", str(paths[ALGORITHMS[name].domain.name]),
                         "--algorithm", name, "--mode", mode, "--seed", "3", "--p", "3",
                         "--format", fmt]
                 code, out = _invoke(runner, main, args)
