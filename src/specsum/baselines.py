@@ -191,7 +191,7 @@ def classical_logdet_chebyshev(A: SymmetricMatrix, eps: float,
     _CONTRACTION.check(A)
     n = A.n
     norm = A.stats.spectral_norm
-    delta_c = min(float(A.spectral.eigenvalues[-1]), 1.0 - norm)
+    delta_c = min(float(A.spectral.eigenvalues[-1]), 1.0 - norm, 0.49)  # the expansion needs < 1/2
     per_dim = eps / 2.0 * math.log(1.0 / norm)
     coeffs, d, trunc_per_n = chebyshev_logdet_setup(delta_c, per_dim)
     scale = 1.0 / (1.0 - 2.0 * delta_c)
@@ -243,12 +243,13 @@ def classical_trace_inverse(A: SymmetricMatrix, eps: float,
 
     Relative eps guarantee via Tr[A^{-1}] >= n for contractions: the
     series tolerance eps1 = 3*eps*delta/16 keeps the unscaled
-    polynomial error below (eps/2) per dimension.
+    polynomial error below (eps/2) per dimension, on [delta, 1] for any
+    delta <= lambda_min; delta is capped at 1/2 as in trace_inverse.
     """
     _require_eps(eps)
     _CLOSED_CONTRACTION.check(A)
     n = A.n
-    delta_v = float(A.spectral.eigenvalues[-1])
+    delta_v = min(float(A.spectral.eigenvalues[-1]), 0.5)
     eps1 = 3.0 * eps * delta_v / 16.0
     series = approx_inverse(delta_v, eps1)
     mean, stderr = _spectral_quadform(A, series, cfg)

@@ -573,7 +573,7 @@ def logdet_chebyshev(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     st = A.stats
     n, mu, kappa, norm = A.n, st.mu, st.kappa, st.spectral_norm
     lam_min = float(A.spectral.eigenvalues[-1])
-    delta_c = min(lam_min, 1.0 - norm)
+    delta_c = min(lam_min, 1.0 - norm, 0.49)  # the expansion needs < 1/2
     coeffs, d, trunc_per_n = chebyshev_logdet_setup(delta_c, cfg.eps)
     eps1 = cfg.eps / max(math.log(d), 1.0)
     c_const = float(np.sum(np.abs(coeffs)))

@@ -24,7 +24,17 @@ from specsum.polyapprox import (
     entropy_poly,
 )
 from specsum.rng import PROBE_STREAM, stream
-from specsum.spectral_sums import ALGORITHMS, AlgoConfig, schatten_p, vn_entropy
+from specsum.spectral_sums import (
+    _CLOSED_CONTRACTION,
+    _CONTRACTION,
+    _DENSITY,
+    ALGORITHMS,
+    MODES,
+    AlgoConfig,
+    run_algorithm,
+    schatten_p,
+    vn_entropy,
+)
 
 
 def _matrix(n=32, kappa=10.0, seed=1):
@@ -449,3 +459,54 @@ class TestEigenbasis:
         assert (reporting.report_json(est.run(warm, cfg))
                 == reporting.report_json(est.run(cold, cfg)))
         assert calls == [] and "eigenbasis" not in cold._cache
+
+
+# Every estimator as (A, mode) -> report, with the domain it checks.
+_PROBES = ProbeConfig(num_probes=16)
+_RUNS = {
+    **{name: (lambda A, mode, name=name: run_algorithm(
+        A, AlgoConfig(eps=0.1, mode=mode, algorithm=name, p=3)), entry.domain)
+       for name, entry in ALGORITHMS.items()},
+    "classical_logdet_taylor": (lambda A, mode: classical_logdet_taylor(A, 0.1, _PROBES),
+                                _CONTRACTION),
+    "classical_logdet_chebyshev": (lambda A, mode: classical_logdet_chebyshev(A, 0.1, _PROBES),
+                                   _CONTRACTION),
+    "classical_entropy": (lambda A, mode: classical_entropy(A, 0.1, _PROBES), _DENSITY),
+    "classical_trace_inverse": (lambda A, mode: classical_trace_inverse(A, 0.1, _PROBES),
+                                _CLOSED_CONTRACTION),
+    "classical_schatten_p": (lambda A, mode: classical_schatten_p(A, 3, 0.1, _PROBES),
+                             _CLOSED_CONTRACTION),
+}
+_ONE_OR_BELOW = ["trace_inverse", "logdet_taylor", "classical_trace_inverse",
+                 "classical_schatten_p"]
+
+
+class TestDomainEdges:
+    """Every estimator passes on its domain and refuses, naming ||A|| and the edge, outside it."""
+
+    @pytest.mark.parametrize("c", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("name", sorted(_RUNS))
+    def test_scaled_identity_passes_or_names_the_edge(self, name, c):
+        run, domain = _RUNS[name]
+        A = domain.input(SymmetricMatrix(4, c * np.eye(4), spd_flag=True))
+        refused = name == "logdet_edge_cases" or (name == "logdet_qmc" and c > 0.5)
+        if not refused:
+            assert run(A, "exact").passed
+            return
+        with pytest.raises(ValueError) as exc:
+            run(A, "exact")
+        norm = A.stats.spectral_norm
+        assert f"||A|| = {norm!r} " in str(exc.value)
+        assert f"requires ||A|| {domain.norm}" in str(exc.value)
+
+    @pytest.mark.parametrize("name", _ONE_OR_BELOW + ["logdet_edge_cases"])
+    def test_norm_within_tolerance_of_one_counts_as_one(self, name):
+        A = SymmetricMatrix(2, np.diag([1 + 5e-11, 0.5]), spd_flag=True)
+        for mode in MODES:
+            assert _RUNS[name][0](A, mode).passed, mode
+
+    @pytest.mark.parametrize("name", _ONE_OR_BELOW)
+    def test_norm_beyond_tolerance_of_one_is_refused(self, name):
+        A = SymmetricMatrix(2, np.diag([1 + 2e-10, 0.5]), spd_flag=True)
+        with pytest.raises(ValueError, match=r"> 1, but this estimator requires \|\|A\|\| <= 1"):
+            _RUNS[name][0](A, "exact")

@@ -259,6 +259,14 @@ class TestSweep:
         assert message in res.output
         assert not (tmp_path / "s.csv").exists()
 
+    def test_qmc_above_half_norm_names_the_norm_and_its_edge(self, tmp_path, runner):
+        res = runner.invoke(main, ["sweep", "--n", "16", "--norm", "0.9",
+                                   "--algorithm", "logdet_qmc", "--axis", "eps",
+                                   "--values", "0.1", "--out", str(tmp_path / "s.csv")])
+        assert res.exit_code == 2, res.output
+        assert ("||A|| = 0.8999999999999999 > 1/2, but this estimator requires "
+                "||A|| <= 1/2") in res.output
+
 
     @pytest.mark.parametrize("algorithm, axis, values, bad", [
         ("schatten_p", "p", "2.5,3", "2.5"),
