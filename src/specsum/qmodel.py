@@ -89,12 +89,7 @@ class CostLedger:
     total_queries: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "be_uses": self.be_uses,
-            "sve_calls": self.sve_calls,
-            "ae_rounds": self.ae_rounds,
-            "total_queries": self.total_queries,
-        }
+        return dict(vars(self))
 
 
 def _draw_perturbation(values: np.ndarray, eps: float, mode: str, seed: int) -> np.ndarray:

@@ -117,10 +117,7 @@ def csv_row(report: SpectralSumReport, extra: dict | None = None) -> str:
         "passed": report.passed,
         "failed": est.failed,
         "success_prob": est.success_prob,
-        "be_uses": report.ledger.be_uses,
-        "sve_calls": report.ledger.sve_calls,
-        "ae_rounds": report.ledger.ae_rounds,
-        "total_queries": report.ledger.total_queries,
+        **report.ledger.as_dict(),
     }
     extra = extra or {}
     cells = [_csv_cell(extra[k]) for k in extra] + [

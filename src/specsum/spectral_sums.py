@@ -373,14 +373,10 @@ def schatten_p(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     gamma2 = None
     if q >= 1:
         mono = approx_monomial(q, q)
-        half = type(mono)(
-            degree=mono.degree,
-            coefficients=np.asarray(mono.coefficients) / (2.0 * max(1.0, mono.global_bound)),
-            target=f"x^{q}/2",
-            certified_sup_error=mono.certified_sup_error / 2.0,
-            certified_on=mono.certified_on,
-            global_bound=mono.global_bound / (2.0 * max(1.0, mono.global_bound)),
-        )
+        scale_q = 2.0 * max(1.0, mono.global_bound)
+        half = replace(mono, coefficients=np.asarray(mono.coefficients) / scale_q,
+                       target=f"x^{q}/2", certified_sup_error=mono.certified_sup_error / 2.0,
+                       global_bound=mono.global_bound / scale_q)
         enc = apply_svt(prod, half)  # encodes (B/2)^q / 2
         gamma2 = 2.0
         parameters["monomial_degree"] = half.degree

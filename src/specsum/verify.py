@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -315,11 +316,7 @@ def criterion_determinism() -> CriterionResult:
                         "--mode", "stochastic", "--out", sweep],
                 check=True, capture_output=True, env=env,
             )
-            with open(out, "rb") as fh:
-                est_bytes = fh.read()
-            with open(sweep, "rb") as fh:
-                sweep_bytes = fh.read()
-            outputs.append((est_bytes, sweep_bytes))
+            outputs.append((Path(out).read_bytes(), Path(sweep).read_bytes()))
     same = outputs[0] == outputs[1] and len(outputs[0][0]) > 0
     detail = ("estimate JSON and sweep CSV byte-identical across SPECSUM_THREADS=1,4"
               if same else "outputs differ across thread counts")
