@@ -25,7 +25,6 @@ import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -166,6 +165,7 @@ class SpectralSumReport:
 
 # Norm-bound operator -> (its test, the side of the edge it tests, the operator refusing ||A||).
 _NORM_OPS = {"<": (operator.lt, -1, ">="), "<=": (operator.le, 1, ">"), ">=": (operator.ge, -1, "<")}
+_NORM_EDGES = {"1": 1.0, "1/2": 0.5}
 
 
 class Domain(NamedTuple):
@@ -195,7 +195,7 @@ class Domain(NamedTuple):
                              f"(|Tr A - 1| <= {_UNIT_TOL:g})")
         op, text = self.norm.split()
         test, side, refused = _NORM_OPS[op]
-        norm, edge = A.stats.spectral_norm, float(Fraction(text))
+        norm, edge = A.stats.spectral_norm, _NORM_EDGES[text]
         if not test(norm, edge + side * _UNIT_TOL):
             where = f"is {text} to within {_UNIT_TOL:g}" if test(norm, edge) else f"{refused} {text}"
             raise ValueError(f"||A|| = {norm!r} {where}, but this estimator requires "
