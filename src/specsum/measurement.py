@@ -195,10 +195,10 @@ def trace_estimate_abs(be: BlockEncoding, eps: float, delta: float, seed: int = 
     """Hadamard-test trace estimation with absolute guarantee n*eps.
 
     The test amplitude is a = (1 + Tr[payload]/n)/2, the trace read as
-    the sum of the effective payload's eigenvalues; with
-    t = ceil(8 alpha pi / eps) rounds the returned
-    n * alpha * (2 a_hat - 1) deviates from the encoded trace by at
-    most n*eps (plus the encoding defect, which the caller budgets).
+    the sum of the payload's eigenvalues; with t = ceil(8 alpha pi / eps)
+    rounds the returned n * alpha * (2 a_hat - 1) deviates from the
+    encoded trace by at most n*eps, and the bound adds the encoding's
+    n * be.eps.
 
     Args:
         be: Block-encoding of a symmetric contraction.
@@ -214,12 +214,12 @@ def trace_estimate_abs(be: BlockEncoding, eps: float, delta: float, seed: int = 
         raise ValueError("eps must be positive")
     n = be.n
     t = math.ceil(8.0 * be.alpha * math.pi / eps)
-    a = (1.0 + be.effective_trace() / n) / 2.0
+    a = (1.0 + be.trace() / n) / 2.0
     a = min(1.0, max(0.0, a))
     reps = median_reps(delta)
 
     def draw(r):
-        est = amplitude_estimate(a, t, be.perturbation_mode, child_seed(seed, r))
+        est = amplitude_estimate(a, t, be.mode, child_seed(seed, r))
         return n * be.alpha * (2.0 * est.value - 1.0), est.failed
 
     value, failed = median_amplify(draw, reps)
@@ -264,19 +264,18 @@ def trace_product_estimate(be: BlockEncoding, eps: float, delta: float,
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = be.n
-    true_val = be.target_frobenius_sq(effective=True)
-    exact_val = be.target_frobenius_sq(effective=False)
-    if be.eps > eps * exact_val / (4.0 * n) + 1e-15:
+    true_val = be.target_frobenius_sq()
+    if be.eps > eps * true_val / (4.0 * n) + 1e-15:
         raise ValueError(
             f"encoding error {be.eps:.3e} exceeds the product-trace budget "
-            f"{eps * exact_val / (4.0 * n):.3e}"
+            f"{eps * true_val / (4.0 * n):.3e}"
         )
     reps = median_reps(delta)
 
     def draw(r):
-        if be.perturbation_mode == "exact":
+        if be.mode == "exact":
             return true_val, False
-        if be.perturbation_mode == "adversarial":
+        if be.mode == "adversarial":
             return true_val * (1.0 + max(eps - _ROUNDING_SLACK, 0.5 * eps)), False
         u, failed = _contract_draw(stream(seed, TRACE_PRODUCT_STREAM, r), 2.0 / 3.0, 2.0)
         return true_val * (1.0 + eps * u), failed
@@ -285,7 +284,7 @@ def trace_product_estimate(be: BlockEncoding, eps: float, delta: float,
     per_rep = be.use_cost * math.sqrt(n) / eps * polylog(n)
     return Estimate(
         value=value,
-        abs_error_bound=eps * exact_val + 2.0 * be.eps * n,
+        abs_error_bound=eps * true_val + 2.0 * be.eps * n,
         success_prob=1.0 - delta,
         queries_charged=reps * per_rep,
         seed=seed,
@@ -299,9 +298,9 @@ def inner_product_estimate(be: BlockEncoding, eps: float, delta: float,
     """Estimate the overlap Tr[payload]/n of an encoding within eps w.p. >= 1 - 2 delta.
 
     Emulated at the amplitude level: the true overlap, the mean of the
-    effective payload's eigenvalues, is perturbed per the base
-    amplitude-estimation success model in the encoding's perturbation
-    mode, and the median of ceil(18 ln(1/delta)) repetitions is returned.
+    payload's eigenvalues, is perturbed per the base amplitude-estimation
+    success model in the encoding's mode, and the median of
+    ceil(18 ln(1/delta)) repetitions is returned.
 
     Args:
         be: Block-encoding whose normalized trace is the overlap.
@@ -314,14 +313,14 @@ def inner_product_estimate(be: BlockEncoding, eps: float, delta: float,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    psi_amp = be.effective_trace() / be.n
+    psi_amp = be.trace() / be.n
     reps = median_reps(delta)
     t = ae_rounds_for(eps)
 
     def draw(r):
-        if be.perturbation_mode == "exact":
+        if be.mode == "exact":
             return psi_amp, False
-        if be.perturbation_mode == "adversarial":
+        if be.mode == "adversarial":
             return psi_amp + eps, False
         u, failed = _contract_draw(stream(seed, INNER_PRODUCT_STREAM, r), BRASSARD_SUCCESS, 3.0)
         return psi_amp + eps * u, failed

@@ -4,26 +4,28 @@ Every payload the pipelines build is a polynomial or power of the
 encoded symmetric matrix A (A/mu, P(A/mu), (A^2/2)^q, (A^2/2)^{r/4}),
 so it commutes with A and is diagonal in A's eigenbasis.  A
 block-encoding therefore stores a reference to its source's cached
-spectrum (``A.spectral``, never copied) plus two length-n vectors: the
-payload's eigenvalues and the perturbation's eigenvalues, both indexed
-like the source's descending eigenvalues.  Every estimate reads traces
-and norms of these vectors, so no eigenvector is ever needed: beyond the
-one cached eigenvalue solve of A, every combinator works in O(n), or
-O(n d) for a degree-d polynomial.
+spectrum (``A.spectral``, never copied) plus one length-n vector, the
+payload's eigenvalues, indexed like the source's descending eigenvalues.
+Every estimate reads traces and norms of this vector, so no eigenvector
+is ever needed: beyond the one cached eigenvalue solve of A, every
+combinator works in O(n), or O(n d) for a degree-d polynomial.
 
 Encodings enter through ``qram_block_encoding`` only, the
 (mu, log n, 0)-encoding of A; ``apply_svt``, ``product_preamplified``
 and ``matrix_power`` derive every other one from it.  ``BlockEncoding``
-itself takes only a source spectrum and eigenvalue vectors.
+itself takes only a source spectrum and an eigenvalue vector.
 
-Perturbations are diagonal in the same eigenbasis, with spectral norm
-max|e| <= eps: exact mode draws none, adversarial mode puts the whole
-budget on the top eigenvector of the target (the matrix eps v v^T), and
-stochastic mode scales a random direction (n normals) by a uniform
-fraction of the budget.  Compositions propagate alpha, ancillas, eps and
-use cost exactly as the corresponding lemmas prescribe, so the cost
-ledger of any composite equals the lemma cost expression evaluated on
-its inputs.
+Encodings are exact: nothing is drawn into a payload.  ``mode`` only
+tells the measurement primitives how to behave (exact, stochastic or
+adversarial), as ``sve_values``' mode argument does for SVE below.  ``eps`` is the lemmas' error
+bookkeeping, which the matrix-power and product-trace budget checks
+read: the QRAM encoding has eps 0, ``matrix_power`` declares the eps it
+is asked for, ``apply_svt`` adds rho(P), the rounding of its own series
+evaluation (``ChebyshevSeries.evaluation_error``), and a product adds
+its inputs' eps.  Compositions propagate alpha, ancillas, eps and use
+cost exactly as the corresponding lemmas prescribe, so the cost ledger
+of any composite equals the lemma cost expression evaluated on its
+inputs.
 
 Singular-value estimation is one vectorised draw over all n singular
 values (``sve_values``): exact, rounded half to even onto the grid of
@@ -45,7 +47,7 @@ import numpy as np
 
 from .matrix_core import SymmetricMatrix, SpectralData
 from .polyapprox import ChebyshevSeries
-from .rng import PERTURBATION_STREAM, SVE_STREAM, child_seed, stream
+from .rng import SVE_STREAM, stream
 
 __all__ = [
     "MODES",
@@ -92,31 +94,6 @@ class CostLedger:
         return dict(vars(self))
 
 
-def _draw_perturbation(values: np.ndarray, eps: float, mode: str, seed: int) -> np.ndarray:
-    """Eigenvalues e of a perturbation with ||E|| = max|e| <= eps.
-
-    Adversarial mode saturates the budget along the top eigenvector of
-    the target (largest |value|); stochastic mode scales a random
-    direction of unit max-norm by a uniform fraction of the budget.
-    """
-    if mode == "exact" or eps == 0.0:
-        return np.zeros_like(values)
-    if mode == "adversarial":
-        e = np.zeros_like(values)
-        e[np.argmax(np.abs(values))] = eps
-        return e
-    rng = stream(seed, PERTURBATION_STREAM)  # stochastic
-    scale = eps * rng.uniform(0.0, 1.0)
-    g = rng.standard_normal(values.shape[0])
-    return scale * g / np.max(np.abs(g))
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False, kw_only=True)
 class BlockEncoding:
     """An emulated (alpha, q, eps)-block-encoding, stored as eigenvalues.
@@ -124,77 +101,56 @@ class BlockEncoding:
     Attributes:
         source: Spectrum of the matrix the encoding derives from, shared
             with every encoding derived from it; its eigenbasis is the
-            one all value vectors below refer to.
-        payload_values: Eigenvalues of the exact encoded block (the
-            target divided by alpha), indexed like
-            ``source.eigenvalues``.
-        perturbation_values: Eigenvalues of the drawn payload-level
-            perturbation (fixed at construction; includes noise
-            inherited from inputs), indexed alike; zeros if omitted.
+            one payload_values refers to.
+        payload_values: Eigenvalues of the encoded block (the target
+            divided by alpha), indexed like ``source.eigenvalues``.
         alpha: Normalization, at least the target's spectral norm.
         ancillas: Ancilla qubit count q.
-        eps: Encoding error budget; the effective payload deviates from
-            the exact one by at most eps/alpha in spectral norm.
+        eps: Encoding error the lemmas charge, in the target's norm.
         use_cost: Query units charged per application.
-        perturbation_mode: One of MODES: "exact", "stochastic" or "adversarial".
-        seed: Perturbation stream seed.
+        mode: One of MODES: "exact", "stochastic" or "adversarial", the
+            behaviour of the measurement primitives that read this encoding.
     """
 
     source: SpectralData = field(repr=False)
     payload_values: np.ndarray
-    perturbation_values: np.ndarray | None = None
     alpha: float
     ancillas: int
     eps: float
     use_cost: float
-    perturbation_mode: str
-    seed: int
+    mode: str
 
     def __post_init__(self):
-        values = _readonly(self.payload_values)
-        n = values.shape[0]
-        noise = _readonly(np.zeros(n) if self.perturbation_values is None
-                          else self.perturbation_values)
-        if len(self.source.eigenvalues) != n or noise.shape != (n,):
-            raise ValueError("source, payload_values and perturbation_values disagree in size")
+        values = np.array(self.payload_values, dtype=float)
+        values.setflags(write=False)
+        if values.shape != (len(self.source.eigenvalues),):
+            raise ValueError("source and payload_values disagree in size")
         if self.use_cost <= 0:
             raise ValueError("use_cost must be positive")
-        if self.perturbation_mode not in MODES:
-            raise ValueError(f"unknown perturbation mode {self.perturbation_mode!r}: "
-                             f"choose one of {', '.join(MODES)}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}: choose one of {', '.join(MODES)}")
         object.__setattr__(self, "payload_values", values)
-        object.__setattr__(self, "perturbation_values", noise)
 
     @property
     def n(self) -> int:
         return self.payload_values.shape[0]
 
-    @property
-    def effective_values(self) -> np.ndarray:
-        """Eigenvalues of the payload plus the drawn perturbation."""
-        return self.payload_values + self.perturbation_values
+    def trace(self) -> float:
+        """Tr of the payload: the sum of its eigenvalues."""
+        return float(np.sum(self.payload_values))
 
-    def effective_trace(self) -> float:
-        """Tr of the effective payload: the sum of its eigenvalues."""
-        return float(np.sum(self.effective_values))
-
-    def target_frobenius_sq(self, effective: bool = True) -> float:
-        """||alpha * payload||_F^2 (perturbed or exact): a sum of squared eigenvalues."""
-        b = self.alpha * (self.effective_values if effective else self.payload_values)
+    def target_frobenius_sq(self) -> float:
+        """||alpha * payload||_F^2: a sum of squared eigenvalues."""
+        b = self.alpha * self.payload_values
         return float(np.sum(b * b))
 
-    def encoding_defect(self) -> float:
-        """Measured ||alpha * (payload + perturbation) - target|| = alpha * max|e|."""
-        return float(self.alpha * np.max(np.abs(self.perturbation_values), initial=0.0))
 
-
-def qram_block_encoding(A: SymmetricMatrix, mode: str = "exact", seed: int = 0) -> BlockEncoding:
+def qram_block_encoding(A: SymmetricMatrix, mode: str = "exact") -> BlockEncoding:
     """(mu, log n, 0)-block-encoding of A from quantum-access structures.
 
     Args:
         A: Symmetric matrix with spectral norm at most 1.
-        mode: Perturbation mode (a zero budget makes all modes exact).
-        seed: Perturbation stream seed.
+        mode: Measurement mode of the encoding and all derived from it.
 
     Returns:
         Exact encoding with alpha = mu(A) and use_cost = polylog(n), on
@@ -213,25 +169,23 @@ def qram_block_encoding(A: SymmetricMatrix, mode: str = "exact", seed: int = 0) 
         ancillas=max(1, math.ceil(math.log2(A.n))),
         eps=0.0,
         use_cost=polylog(A.n),
-        perturbation_mode=mode,
-        seed=seed,
+        mode=mode,
     )
 
 
-def apply_svt(be: BlockEncoding, p: ChebyshevSeries, nu: float = 1e-12) -> BlockEncoding:
+def apply_svt(be: BlockEncoding, p: ChebyshevSeries) -> BlockEncoding:
     """Singular-value transformation by a 1/2-bounded polynomial.
 
-    Produces a (1, q+2, 4 d sqrt(eps/alpha) + nu)-encoding of
+    Produces a (1, q+2, 4 d sqrt(eps/alpha) + rho(P))-encoding of
     P(A/alpha) using d applications of the input encoding plus one
     controlled application, with d = p.degree, the degree the ledger
     charges.  The stored coefficients (degree p.degree_used) are
-    evaluated on the payload's eigenvalues, exact and perturbed.
+    evaluated on the payload's eigenvalues; rho(P) =
+    p.evaluation_error bounds that evaluation's rounding.
 
     Args:
         be: Input encoding of a symmetric target.
         p: Polynomial with global bound at most 1/2.
-        nu: Additional implementation error injected per the input's
-            perturbation mode.
 
     Returns:
         Transformed encoding.
@@ -243,27 +197,14 @@ def apply_svt(be: BlockEncoding, p: ChebyshevSeries, nu: float = 1e-12) -> Block
     if p.global_bound > 0.5 + 1e-12:
         raise ValueError("SVT polynomial must satisfy |P| <= 1/2 on [-1, 1]")
     d = p.degree
-    # One evaluation over both rows: its cost is mostly per degree, not per
-    # point.  An unperturbed input has one row; the matrix product inside
-    # the evaluation may round a column by its position, so a second copy
-    # of that row would not come back bitwise equal.
-    if np.any(be.perturbation_values):
-        exact, effective = p(np.clip(np.stack([be.payload_values, be.effective_values]), -1, 1))
-    else:
-        exact = effective = p(np.clip(be.payload_values, -1, 1))
-    new_seed = child_seed(be.seed, 1)
-    extra = _draw_perturbation(exact, nu, be.perturbation_mode, new_seed)
-    eps_out = 4 * d * math.sqrt(max(be.eps, 0.0) / be.alpha) + nu
     return BlockEncoding(
         source=be.source,
-        payload_values=exact,
+        payload_values=p(np.clip(be.payload_values, -1, 1)),
         alpha=1.0,
         ancillas=be.ancillas + 2,
-        eps=eps_out,
+        eps=4 * d * math.sqrt(max(be.eps, 0.0) / be.alpha) + p.evaluation_error,
         use_cost=(d + 1) * be.use_cost,
-        perturbation_mode=be.perturbation_mode,
-        seed=new_seed,
-        perturbation_values=(effective - exact) + extra,
+        mode=be.mode,
     )
 
 
@@ -279,18 +220,14 @@ def product_preamplified(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncodin
             raise ValueError("preamplified product requires ||target|| <= 1")
     if be1.source is not be2.source:
         raise ValueError("product requires encodings that share one eigenbasis")
-    payload = (be1.alpha * be1.payload_values) * (be2.alpha * be2.payload_values) / 2.0
-    eff = (be1.alpha * be1.effective_values) * (be2.alpha * be2.effective_values) / 2.0
     return BlockEncoding(
         source=be1.source,
-        payload_values=payload,
+        payload_values=(be1.alpha * be1.payload_values) * (be2.alpha * be2.payload_values) / 2.0,
         alpha=1.0,
         ancillas=be1.ancillas + be2.ancillas + 2,
         eps=be1.eps + be2.eps,
         use_cost=be1.alpha * (be1.ancillas + be1.use_cost) + be2.alpha * (be2.ancillas + be2.use_cost),
-        perturbation_mode=be1.perturbation_mode,
-        seed=child_seed(be1.seed, be2.seed + 1),
-        perturbation_values=eff - payload,
+        mode=be1.mode,
     )
 
 
@@ -323,19 +260,14 @@ def matrix_power(be: BlockEncoding, c: float, kappa: float, eps: float) -> Block
     w = be.alpha * be.payload_values
     if np.min(w) < 1.0 / kappa - 1e-9 or np.max(w) > 1.0 + 1e-9:
         raise ValueError("matrix power requires I/kappa <= H <= I")
-    power = lambda vals: np.clip(vals, 1e-300, None) ** c / 2.0
-    payload = power(w)
-    eff = power(be.alpha * be.effective_values)
     return BlockEncoding(
         source=be.source,
-        payload_values=payload,
+        payload_values=np.clip(w, 1e-300, None) ** c / 2.0,
         alpha=1.0,
         ancillas=be.ancillas + max(1, math.ceil(math.log2(max(2.0, math.log2(1.0 / eps))))) + 2,
         eps=eps,
         use_cost=be.alpha * kappa * (be.ancillas + be.use_cost) * math.log(kappa / eps) ** 2,
-        perturbation_mode=be.perturbation_mode,
-        seed=child_seed(be.seed, 7),
-        perturbation_values=eff - payload,
+        mode=be.mode,
     )
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "TRACE_PRODUCT_STREAM",
     "INNER_PRODUCT_STREAM",
     "QMC_STREAM",
-    "PERTURBATION_STREAM",
     "HADAMARD_STREAM",
     "PROBE_STREAM",
     "SVE_STREAM",
@@ -34,7 +33,7 @@ AMPLITUDE_STREAM = 0xA  # amplitude estimation
 TRACE_PRODUCT_STREAM = 0xB  # product-trace estimation, one key per repetition
 INNER_PRODUCT_STREAM = 0xC  # inner-product estimation, one key per repetition
 QMC_STREAM = 0xD  # quantum Monte Carlo mean estimation
-PERTURBATION_STREAM = 0xE  # block-encoding perturbations
+# 0xE is retired: it keyed the block-encoding perturbations of earlier versions.
 HADAMARD_STREAM = 23  # Hadamard-test sampling
 PROBE_STREAM = 29  # the classical baselines' probe ensemble
 SVE_STREAM = 0x5E  # stochastic singular-value estimation, one draw per value
@@ -56,5 +55,5 @@ def stream(seed: int, *indices: int) -> np.random.Generator:
 
 
 def child_seed(seed: int, k: int) -> int:
-    """The seed of child k of a seed (a derived encoding or one repetition), in 31 bits."""
+    """The seed of child k of a seed (one repetition), in 31 bits."""
     return (seed * 1000003 + k) & 0x7FFFFFFF

@@ -279,7 +279,7 @@ def logdet_svt(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     eps2 = cfg.eps * math.log(1.0 / norm) / (6.0 * big_l)
     eps3 = _floor_grid(eps2)
     series = approx_log(beta, eps3)
-    be = qram_block_encoding(A, cfg.mode, cfg.seed)
+    be = qram_block_encoding(A, cfg.mode)
     ipe = inner_product_estimate(apply_svt(be, series), eps2, cfg.delta, seed=cfg.seed)
     value = 2.0 * n * big_l * ipe.value + n * math.log(alpha)
     exact = exact_spectral_sum(A, "log")
@@ -358,14 +358,14 @@ def schatten_p(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     _CONTRACTION.check(A)
     st = A.stats
     n, kappa, norm = A.n, st.kappa, st.spectral_norm
-    # Every tolerance derived below is at least eps ||A||^{2p} / (2^{p/2} 64 n),
+    # Every tolerance derived below is at least eps ||A||^{2p} / (2^{p/2} 1024 n),
     # and the payload scale's 2 ** (p / 2) overflows from p = 2048 on.
-    if (p >= 2 * sys.float_info.max_exp or math.log2(cfg.eps / (64.0 * n))
+    if (p >= 2 * sys.float_info.max_exp or math.log2(cfg.eps / (1024.0 * n))
             + 2 * p * math.log2(norm) - p / 2.0 < sys.float_info.min_exp):
         raise ValueError(f"p = {p} is too large for this input: the Schatten tolerances "
                          "or payload scale leave the floating-point range")
     q, r = divmod(p, 4)
-    be = qram_block_encoding(A, cfg.mode, cfg.seed)
+    be = qram_block_encoding(A, cfg.mode)
     prod = product_preamplified(be, be)  # encodes B/2 with B = A^T A
     parameters = {"eps": cfg.eps, "delta": cfg.delta, "mode": cfg.mode,
                   "p": p, "q": q, "r": r, "kappa": kappa}
@@ -383,7 +383,11 @@ def schatten_p(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     if r >= 1:
         kappa_mp = max(2.0, 2.0 * kappa**2 / norm**2)
         tr_floor = norm ** (2 * p) / 2 ** (p / 2.0)
-        eps_mp = cfg.eps * tr_floor / (64.0 * n)
+        # The product-trace check needs enc.eps <= eps F / (4n), and enc's
+        # ||target||_F^2 = F is at least tr_floor / gamma2^2, gamma2 being 2
+        # if q = 0 and 8 if not.  eps_mp takes a quarter of that floor's
+        # budget; the rest covers rho(P) of the monomial.
+        eps_mp = cfg.eps * tr_floor / ((1024.0 if q else 64.0) * n)
         mp = matrix_power(prod, r / 4.0, kappa_mp, eps_mp)  # encodes (B/2)^{r/4} / 2
         parameters.update({"kappa_matrix_power": kappa_mp, "eps_matrix_power": eps_mp})
         if enc is None:
@@ -416,7 +420,7 @@ def vn_entropy(rho: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     eps1 = cfg.eps / (4.0 * big_l)
     eps1_used = _floor_grid(eps1)
     series = entropy_poly(beta, eps1_used)
-    be = qram_block_encoding(rho, cfg.mode, cfg.seed)
+    be = qram_block_encoding(rho, cfg.mode)
     sv = apply_svt(be, series)
     eps_t = cfg.eps / (4.0 * n * mu * big_l)
     tr_est = trace_estimate_abs(sv, eps_t, cfg.delta, seed=cfg.seed)
@@ -454,7 +458,7 @@ def trace_inverse(A: SymmetricMatrix, cfg: AlgoConfig) -> SpectralSumReport:
     eps_i = 3.0 * cfg.eps * delta_v * mu / 16.0
     eps1 = _floor_grid(eps_i)
     series = approx_inverse(delta_v, eps1)
-    be = qram_block_encoding(A, cfg.mode, cfg.seed)
+    be = qram_block_encoding(A, cfg.mode)
     sv = apply_svt(be, series)
     tr_est = trace_estimate_abs(sv, eps_i, cfg.delta, seed=cfg.seed)
     value = 8.0 * tr_est.value / (3.0 * delta_v * mu)

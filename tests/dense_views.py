@@ -17,8 +17,7 @@ def eigenbasis(entries):
 
 
 def dense(be, V):
-    """The payload, perturbation and target of ``be`` as matrices in the basis V."""
+    """The payload and target of ``be`` as matrices in the basis V."""
     build = lambda values: (V * values) @ V.T
     return SimpleNamespace(payload=build(be.payload_values),
-                           perturbation=build(be.perturbation_values),
                            target=build(be.alpha * be.payload_values))

@@ -62,6 +62,18 @@ def test_removed_parameters_are_gone():
         assert inspect.signature(primitive).parameters["delta"].default is inspect.Parameter.empty
 
 
+def test_encodings_hold_values_and_bookkeeping_only():
+    from specsum.qmodel import BlockEncoding, apply_svt, qram_block_encoding
+
+    assert list(BlockEncoding.__dataclass_fields__) == [
+        "source", "payload_values", "alpha", "ancillas", "eps", "use_cost", "mode"]
+    assert [n for n in vars(BlockEncoding) if not n.startswith("_")] == [
+        "n", "trace", "target_frobenius_sq"]
+    assert list(inspect.signature(apply_svt).parameters) == ["be", "p"]
+    assert list(inspect.signature(qram_block_encoding).parameters) == ["A", "mode"]
+    assert list(inspect.signature(BlockEncoding.target_frobenius_sq).parameters) == ["self"]
+
+
 def test_inner_product_estimate_reads_cost_and_mode_from_the_encoding():
     from specsum.measurement import inner_product_estimate
 

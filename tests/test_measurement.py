@@ -126,7 +126,7 @@ class TestInnerProduct:
     def test_exact(self):
         be = qram_block_encoding(self.A)
         est = inner_product_estimate(be, 0.01, 0.05)
-        assert est.value == be.effective_trace() / be.n
+        assert est.value == be.trace() / be.n
         assert est.value == pytest.approx(np.trace(self.A.entries) / (16 * self.A.stats.mu))
         assert est.queries_charged == median_reps(0.05) * ae_rounds_for(0.01) * be.use_cost
 
@@ -137,7 +137,7 @@ class TestInnerProduct:
 
     def test_stochastic_median_within_bound(self):
         be = qram_block_encoding(self.A, "stochastic")
-        overlap = be.effective_trace() / be.n
+        overlap = be.trace() / be.n
         hits = sum(abs(inner_product_estimate(be, 0.01, 0.1, seed=s).value - overlap) <= 0.01
                    for s in range(40))
         assert hits >= 36

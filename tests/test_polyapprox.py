@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,46 @@ class TestChebval:
             assert res.returncode == 0, res.stderr
             digests.add(res.stdout)
         assert len(digests) == 1
+
+
+def _halved_monomial(q):
+    """x^q / 2 as schatten_p builds it from the exact expansion."""
+    mono = approx_monomial(q, q)
+    scale = 2.0 * max(1.0, mono.global_bound)
+    return ChebyshevSeries(degree=q, coefficients=np.asarray(mono.coefficients) / scale,
+                           target=f"x^{q}/2", certified_sup_error=mono.certified_sup_error / 2.0,
+                           certified_on=(-1.0, 1.0), global_bound=mono.global_bound / scale)
+
+
+class TestEvaluationError:
+    """rho(P) bounds the rounding of ``__call__`` against the exact series."""
+
+    @staticmethod
+    def _exact(c, x):
+        """sum_k c_k T_k(x) by Clenshaw's recurrence in 50 significant digits."""
+        with mpmath.workdps(50):
+            x = mpmath.mpf(x)
+            b1 = b2 = mpmath.mpf(0)
+            for ck in c[:0:-1]:
+                b1, b2 = 2 * x * b1 - b2 + ck, b1
+            return x * b1 - b2 + c[0]
+
+    @pytest.mark.parametrize("build", [
+        lambda: approx_log(1 / 4, 1e-2),
+        lambda: approx_inverse(1 / 4, 1e-2),
+        lambda: entropy_poly(1 / 4, 1e-2),
+        lambda: approx_monomial(7, 7),
+        lambda: _halved_monomial(7),
+    ], ids=["log", "inverse", "entropy", "monomial", "halved_monomial"])
+    def test_bounds_the_gap_to_the_exact_series(self, build):
+        s = build()
+        x = np.concatenate([np.cos(np.pi * np.arange(1001) / 1000),
+                            np.random.default_rng(5).uniform(-1.0, 1.0, 1000)])
+        c = [mpmath.mpf(float(ck)) for ck in s.coefficients]
+        gap = max(abs(mpmath.mpf(float(v)) - self._exact(c, xi)) for v, xi in zip(s(x), x))
+        assert float(gap) <= s.evaluation_error
+        assert s.evaluation_error == pytest.approx(
+            8 * (s.degree_used + 1) * 2.0**-53 * np.sum(np.abs(s.coefficients)), rel=1e-15)
 
 
 class TestTaylorDegree:

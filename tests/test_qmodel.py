@@ -1,7 +1,6 @@
 """Tests for the block-encoding emulation layer."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -72,27 +71,24 @@ class TestEncodings:
         with pytest.raises(ValueError, match="<= 1"):
             qram_block_encoding(big)
 
-    def test_vectors_are_read_only_and_noise_defaults_to_zero(self):
+    def test_payload_is_read_only(self):
         be = BlockEncoding(source=_source(3), payload_values=[0.25, 0.5, 1.0], alpha=1.0,
-                           ancillas=1, eps=0.0, use_cost=1.0, perturbation_mode="exact",
-                           seed=0)
-        assert not be.perturbation_values.any()
+                           ancillas=1, eps=0.0, use_cost=1.0, mode="exact")
         assert not be.payload_values.flags.writeable
-        assert not be.perturbation_values.flags.writeable
         np.testing.assert_array_equal(dense(be, np.eye(3)).payload, np.diag([0.25, 0.5, 1.0]))
 
     def test_rejects_size_mismatch_and_free_use(self):
         kw = dict(source=_source(3), payload_values=np.ones(3), alpha=1.0, ancillas=1,
-                  eps=0.0, perturbation_mode="exact", seed=0)
+                  eps=0.0, mode="exact")
         with pytest.raises(ValueError, match="disagree in size"):
-            BlockEncoding(**dict(kw, perturbation_values=np.zeros(2)), use_cost=1.0)
+            BlockEncoding(**dict(kw, payload_values=np.ones((1, 3))), use_cost=1.0)
         with pytest.raises(ValueError, match="disagree in size"):
             BlockEncoding(**dict(kw, source=_source(2)), use_cost=1.0)
         with pytest.raises(ValueError, match="use_cost"):
             BlockEncoding(**kw, use_cost=0.0)
 
-    def test_rejects_an_unknown_perturbation_mode(self):
-        with pytest.raises(ValueError, match="unknown perturbation mode 'foo': choose one of"):
+    def test_rejects_an_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'foo': choose one of"):
             qram_block_encoding(_contraction(), "foo")
 
     def test_is_frozen(self):
@@ -102,21 +98,13 @@ class TestEncodings:
 
     def test_derived_encodings_share_the_source(self):
         A = _contraction()
-        be = qram_block_encoding(A, "stochastic", seed=5)
+        be = qram_block_encoding(A, "stochastic")
         assert be.source is A.spectral
         out = apply_svt(be, ChebyshevSeries(
             degree=1, coefficients=np.array([0.0, 0.5]), target="x/2",
             certified_sup_error=0.0, certified_on=(-1.0, 1.0), global_bound=0.5))
         assert product_preamplified(out, out).source is A.spectral
-        assert out.effective_trace() == pytest.approx(
-            float(np.sum(out.payload_values + out.perturbation_values)))
-
-    def test_encoding_defect_is_largest_perturbation_value(self):
-        be = BlockEncoding(source=_source(3), payload_values=np.full(3, 0.5),
-                           perturbation_values=[1e-4, -3e-4, 2e-4], alpha=1.0,
-                           ancillas=1, eps=1e-3, use_cost=1.0,
-                           perturbation_mode="stochastic", seed=0)
-        assert be.encoding_defect() == pytest.approx(3e-4)
+        assert out.trace() == float(np.sum(out.payload_values))
 
 
 class TestApplySvt:
@@ -136,17 +124,16 @@ class TestApplySvt:
         assert out.use_cost == (3 + 1) * be.use_cost
 
     @pytest.mark.parametrize("degree", [894, 3815, 8177])
-    def test_exact_input_stays_exact(self, degree):
-        # Payload and perturbed payload are equal here.  Evaluated as two
-        # rows of one matrix product, they came back apart in the last bit
-        # at degree 3815.
+    def test_charges_the_series_rounding(self, degree):
         c = np.random.default_rng(degree).standard_normal(degree + 1) / (1.0 + np.arange(degree + 1))
         p = ChebyshevSeries(degree=degree, coefficients=c * (0.5 / np.sum(np.abs(c))),
                             target="t", certified_sup_error=0.0, certified_on=(-1.0, 1.0),
                             global_bound=0.5)
-        out = apply_svt(qram_block_encoding(_contraction(n=33), mode="exact"), p)
-        assert not np.any(out.perturbation_values)
-        assert out.encoding_defect() == 0.0
+        be = qram_block_encoding(_contraction(n=33), mode="exact")
+        out = apply_svt(be, p)
+        assert out.payload_values.tolist() == p(be.payload_values).tolist()
+        assert out.eps == p.evaluation_error
+        assert p.evaluation_error == pytest.approx(8.0 * (degree + 1) * 2.0**-53 * 0.5, rel=1e-12)
 
     def test_rejects_unbounded_polynomial(self):
         be = qram_block_encoding(_contraction())
@@ -168,8 +155,7 @@ class TestProducts:
 
     def test_preamplified_requires_contractions(self):
         big = BlockEncoding(source=_source(2), payload_values=np.ones(2), alpha=2.0,
-                            ancillas=1, eps=0.0, use_cost=1.0, perturbation_mode="exact",
-                            seed=0)
+                            ancillas=1, eps=0.0, use_cost=1.0, mode="exact")
         with pytest.raises(ValueError, match="contraction|<= 1"):
             product_preamplified(big, big)
 
@@ -178,8 +164,7 @@ class TestMatrixPower:
     def _half_encoding(self):
         # I/kappa <= H <= I with H = diag spectrum, encoded exactly.
         return BlockEncoding(source=_source(8), payload_values=np.linspace(0.25, 1.0, 8),
-                             alpha=1.0, ancillas=2, eps=0.0, use_cost=1.0,
-                             perturbation_mode="exact", seed=0)
+                             alpha=1.0, ancillas=2, eps=0.0, use_cost=1.0, mode="exact")
 
     def test_fractional_power_payload(self):
         be = self._half_encoding()
@@ -189,15 +174,13 @@ class TestMatrixPower:
 
     def test_rejects_noisy_input(self):
         noisy = BlockEncoding(source=_source(8), payload_values=np.linspace(0.25, 1.0, 8),
-                              alpha=1.0, ancillas=2, eps=1e-2, use_cost=1.0,
-                              perturbation_mode="exact", seed=0)
+                              alpha=1.0, ancillas=2, eps=1e-2, use_cost=1.0, mode="exact")
         with pytest.raises(ValueError, match="budget"):
             matrix_power(noisy, 0.5, 4.0, 1e-6)
 
     def test_rejects_out_of_range_spectrum(self):
         be = BlockEncoding(source=_source(8), payload_values=np.linspace(0.01, 1.0, 8),
-                           alpha=1.0, ancillas=2, eps=0.0, use_cost=1.0,
-                           perturbation_mode="exact", seed=0)
+                           alpha=1.0, ancillas=2, eps=0.0, use_cost=1.0, mode="exact")
         with pytest.raises(ValueError, match="kappa"):
             matrix_power(be, 0.5, 4.0, 1e-6)
 

@@ -38,8 +38,11 @@ class TestFixedStreams:
                 for rep in ([(r,) for r in range(3)] if name in self.PER_REPETITION else [()])]
 
     def test_declared_once(self):
-        assert len(self.NAMES) == 10
+        assert len(self.NAMES) == 9
         assert len({getattr(rng, name) for name in self.NAMES}) == len(self.NAMES)
+
+    def test_retired_index_stays_unused(self):
+        assert 0xE not in {getattr(rng, name) for name in self.NAMES}
 
     def test_distinct_after_zero_padding(self):
         def padded(key):

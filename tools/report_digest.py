@@ -3,6 +3,7 @@
 Usage (from a checkout):
 
     python tools/report_digest.py [--root CHECKOUT] [--out FILE] [--section NAME ...]
+                                  [--compare OLD.txt]
 
 Imports specsum from CHECKOUT/src (default: the checkout holding this
 script) and prints, per section and in total, a line count and the
@@ -25,15 +26,25 @@ without it every section is built.  The sections are:
 
 A case that raises prints the exception instead of a report.  Timing
 never enters the lines, so two runs of one checkout give one digest.
+
+``--compare OLD.txt`` reads the lines another checkout wrote with
+``--out`` (with the same ``--section`` flags) and pairs them with this
+run's by label, kind and order.  It prints, for each JSON field and CSV
+column, the number of lines on which it moved and its largest relative
+change, then counts the whole lines that moved or exist on one side only.
+A moved ``passed``, ledger, bound or error line is flagged, and the
+command then exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 import tempfile
+from collections import Counter, defaultdict
 from pathlib import Path
 
 SECTIONS = ("report", "estimate", "sweep", "verify")
@@ -191,6 +202,106 @@ def verify_lines() -> list[str]:
     return [f"verify {res.line()}" for res in run_suite("all")]
 
 
+# Ledger fields and columns, and the estimate's total of them.
+LEDGER = ("be_uses", "sve_calls", "ae_rounds", "total_queries", "queries_charged")
+
+
+def _flatten(obj, prefix=""):
+    """(dotted path, scalar) pairs of a nested JSON object."""
+    if isinstance(obj, dict):
+        return [kv for k, v in obj.items() for kv in _flatten(v, f"{prefix}{k}.")]
+    return [(prefix[:-1], obj)]
+
+
+def _parse(line: str, headers: dict, columns: list[str]):
+    """(key label, kind, {field: value}) of one digest line.
+
+    kind is "json", "csv" (header rows become "csv-header"), "error" or "line".
+    A CSV row's columns are those of the last header under its label, else
+    ``columns``.
+    """
+    label, brace, rest = line.partition(" {")
+    if brace:
+        try:
+            return label, "json", dict(_flatten(json.loads("{" + rest)))
+        except ValueError:
+            pass
+    label, sep, message = line.partition(" error ")
+    if sep:
+        return label, "error", {"message": message}
+    head, _, last = line.rpartition(" ")
+    if "," in last:
+        cells = last.split(",")
+        if "algorithm" in cells and "total_queries" in cells:
+            headers[head] = cells
+            return head, "csv-header", {"header": last}
+        names = headers.get(head, columns)
+        if len(names) != len(cells):
+            names = [f"column {i}" for i in range(len(cells))]
+        return head, "csv", dict(zip(names, cells))
+    return "", "line", {"text": line}
+
+
+def _keyed(lines: list[str]) -> dict:
+    """Parsed lines keyed by (label, kind, ordinal among lines of that label and kind)."""
+    from specsum.reporting import CSV_COLUMNS
+
+    seen, headers, out = Counter(), {}, {}
+    for line in lines:
+        label, kind, fields = _parse(line, headers, CSV_COLUMNS)
+        seen[label, kind] += 1
+        out[label, kind, seen[label, kind]] = fields
+    return out
+
+
+def _flags(kind: str, field: str) -> list[str]:
+    name = field.rsplit(".", 1)[-1]
+    return [flag for flag, hit in (("passed", name == "passed"), ("ledger", name in LEDGER),
+                                   ("bound", "bound" in name), ("error", kind == "error"))
+            if hit]
+
+
+def _relative(old, new) -> float | None:
+    try:
+        a, b = float(old), float(new)
+    except (TypeError, ValueError):
+        return None
+    return abs(b - a) / abs(a) if a else float("inf")
+
+
+def compare(old_lines: list[str], new_lines: list[str]) -> int:
+    """Print what moved between two digest line lists; 1 if a flagged line moved, else 0."""
+    old, new = _keyed(old_lines), _keyed(new_lines)
+    moved, largest = Counter(), defaultdict(lambda: -1.0)
+    moved_lines, flagged = Counter(), Counter()
+    for key in old.keys() & new.keys():
+        kind = key[1]
+        fields = [f for f in old[key].keys() | new[key].keys()
+                  if old[key].get(f) != new[key].get(f)]
+        if fields:
+            moved_lines[kind] += 1
+        for field in fields:
+            moved[kind, field] += 1
+            rel = _relative(old[key].get(field), new[key].get(field))
+            if rel is not None:
+                largest[kind, field] = max(largest[kind, field], rel)
+        flagged.update({flag for field in fields for flag in _flags(kind, field)})
+    for (kind, field), count in sorted(moved.items()):
+        rel = largest[kind, field]
+        text = "not numeric" if rel < 0 else f"{rel:.3g}"
+        print(f"moved {kind} {field}: {count} lines, largest relative change {text}")
+    for side, keys in (("only in OLD", old.keys() - new.keys()), ("only in new", new.keys() - old.keys())):
+        for kind, count in sorted(Counter(k[1] for k in keys).items()):
+            print(f"{side}: {count} {kind} lines")
+            flagged["error" if kind == "error" else "added or removed"] += count
+    same = len(old.keys() & new.keys()) - sum(moved_lines.values())
+    print(f"unchanged: {same} of {len(old)} OLD lines; moved lines by kind: "
+          + (", ".join(f"{k} {c}" for k, c in sorted(moved_lines.items())) or "none"))
+    for flag, count in sorted(flagged.items()):
+        print(f"FLAG {flag}: {count} lines")
+    return 1 if flagged else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -198,6 +309,8 @@ def main() -> int:
     parser.add_argument("--out", type=Path, help="also write every line to this file")
     parser.add_argument("--section", action="append", choices=SECTIONS,
                         help="build only this section; repeatable (default: all)")
+    parser.add_argument("--compare", type=Path, metavar="OLD.txt",
+                        help="report what moved against lines another checkout wrote with --out")
     args = parser.parse_args()
     src = str((args.root / "src").resolve())
     sys.path.insert(0, src)
@@ -218,6 +331,8 @@ def main() -> int:
         print(f"{name}: {len(lines)} lines sha256 {digest}")
     if args.out:
         args.out.write_text("".join(f"{line}\n" for line in everything))
+    if args.compare:
+        return compare(args.compare.read_text().splitlines(), everything)
     return 0
 
 
