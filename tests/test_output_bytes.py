@@ -1,10 +1,10 @@
-"""The report, estimate and sweep output bytes against a committed golden file.
+"""The report, estimate, sweep and series output bytes against a committed golden file.
 
 A change that moves an output byte fails here; one that means to move
 bytes regenerates the golden file from the checkout root with
 
     OPENBLAS_NUM_THREADS=1 python tools/report_digest.py --section report \\
-        --section estimate --section sweep --out /tmp/bytes.txt
+        --section estimate --section sweep --section series --out /tmp/bytes.txt
     gzip -9 -n -c /tmp/bytes.txt > tests/golden/output_bytes.txt.gz
 
 and lists the moved lines in CHANGES.md.  OpenBLAS runs on one thread
@@ -35,7 +35,8 @@ def test_output_bytes_match_the_golden_file(tmp_path):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     res = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "report_digest.py"), "--section", "report",
-         "--section", "estimate", "--section", "sweep", "--out", str(out)],
+         "--section", "estimate", "--section", "sweep", "--section", "series",
+         "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=600)
     assert res.returncode == 0, res.stderr
     got = out.read_text().splitlines()

@@ -22,6 +22,14 @@ without it every section is built.  The sections are:
   algorithms in three modes, with exit codes.
 - ``sweep``: ``specsum sweep`` CSVs, fit lines, usage errors and exit
   codes on the eps, kappa, n and p axes, each at SPECSUM_THREADS 1 and 3.
+- ``series``: the certified polynomials, one line per builder call with
+  its degrees, target, interval, certified error, global bound and the
+  SHA-256 of its float64 coefficients: ``approx_log``, ``approx_inverse``,
+  ``approx_sqrt`` and ``entropy_poly`` on ten (beta, eps) cells (one
+  escalates the projection, one exhausts the degree cap),
+  ``approx_inverse`` on two cells with grids of 2^17 and 2^19 points,
+  ``approx_monomial`` on 16 (s, d) and ``chebyshev_logdet_setup`` on
+  three (delta, eps).
 - ``verify``: the ``specsum verify all`` lines.
 
 A case that raises prints the exception instead of a report.  Timing
@@ -47,7 +55,7 @@ import tempfile
 from collections import Counter, defaultdict
 from pathlib import Path
 
-SECTIONS = ("report", "estimate", "sweep", "verify")
+SECTIONS = ("report", "estimate", "sweep", "series", "verify")
 EPS = (0.1, 0.05, 0.03)
 SEEDS = (0, 1, 3, 11)
 MODES = ("exact", "stochastic", "adversarial")
@@ -73,6 +81,16 @@ SWEEPS = (
     ["--algorithm", "schatten_p", "--axis", "p", "--values", "2,2100", "--n", "16"],
     ["--algorithm", "logdet_svt", "--axis", "eps", "--values", "0.1", "--n", "16"],
 )
+# (beta, eps) cells of the series builders: approx_sqrt escalates the
+# projection at (0.5, 1e-6) and (0.1, 1e-6) and exhausts the degree cap at
+# (0.5, 1e-10).
+CELLS = ((0.5, 0.1), (0.25, 1e-2), (0.1, 1e-3), (1 / 32, 1e-4), (0.0566, 0.00317),
+         (0.1682, 0.00317), (0.0743, 0.00632), (0.5, 1e-6), (0.1, 1e-6), (0.5, 1e-10))
+# (delta, eps1) that trace_inverse derives at n = 256, eps 0.0105 on kappa-40
+# and kappa-80 inputs: inverse series certified on grids of 2^17 and 2^19 points.
+TAIL_CELLS = ((0.005524271728019908, 2.157918643757779e-05),
+              (0.0027621358640099545, 1.0789593218788897e-05))
+LOGDET_SETUPS = ((0.25, 1e-3), (0.1, 1e-6), (0.01, 1e-4))
 
 
 def _guard(label, make):
@@ -193,6 +211,44 @@ def sweep_lines(tmp: Path) -> list[str]:
             lines += [f"{label} exit={code}"] + [f"{label} {line}" for line in text]
             if out.exists():
                 lines += [f"{label} csv {line}" for line in out.read_text().splitlines()]
+    return lines
+
+
+def series_lines() -> list[str]:
+    import numpy as np
+
+    from specsum import polyapprox as pa
+
+    def sha(c):
+        return hashlib.sha256(np.ascontiguousarray(c, dtype=np.float64).tobytes()).hexdigest()
+
+    def line(label, fields):
+        return [f"{label} {json.dumps(fields, separators=(',', ':'))}"]
+
+    def series(build, *args):
+        def fields():
+            s = build(*args)
+            return {"degree": s.degree, "degree_used": s.degree_used, "target": s.target,
+                    "certified_on": list(s.certified_on),
+                    "certified_sup_error": s.certified_sup_error,
+                    "global_bound": s.global_bound, "coefficients_sha256": sha(s.coefficients)}
+
+        label = f"series {build.__name__}({', '.join(map(repr, args))})"
+        return _guard(label, lambda: line(label, fields()))
+
+    lines = []
+    for cell in CELLS:
+        for build in (pa.approx_log, pa.approx_inverse, pa.approx_sqrt, pa.entropy_poly):
+            lines += series(build, *cell)
+    for cell in TAIL_CELLS:
+        lines += series(pa.approx_inverse, *cell)
+    for s in (1, 2, 7, 30):
+        for d in (1, 3, 12, 40):
+            lines += series(pa.approx_monomial, s, d)
+    for delta, eps in LOGDET_SETUPS:
+        coeffs, d, bound = pa.chebyshev_logdet_setup(delta, eps)
+        lines += line(f"series chebyshev_logdet_setup({delta!r}, {eps!r})",
+                      {"degree": d, "bound": bound, "coefficients_sha256": sha(coeffs)})
     return lines
 
 
@@ -322,7 +378,8 @@ def main() -> int:
     assert specsum.__file__.startswith(src), specsum.__file__
     with tempfile.TemporaryDirectory() as tmp:
         build = {"report": report_lines, "estimate": lambda: estimate_lines(Path(tmp)),
-                 "sweep": lambda: sweep_lines(Path(tmp)), "verify": verify_lines}
+                 "sweep": lambda: sweep_lines(Path(tmp)), "series": series_lines,
+                 "verify": verify_lines}
         sections = {name: build[name]() for name in SECTIONS
                     if name in (args.section or SECTIONS)}
     everything = [line for lines in sections.values() for line in lines]
