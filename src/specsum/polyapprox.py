@@ -26,12 +26,10 @@ and keeps only the latest; the candidates of one chop revisit few M.
 Each candidate is first evaluated at the interval's two end points, in
 closed form: if that error alone, with the grid margin, exceeds eps,
 the candidate fails without its DCT, which is the decision the full
-error would give.  An odd series (the inverse) is decided on the nodes
-of x > 0 alone, by one DCT-II of length M/2; within a guard band of the
-thresholds, where rounding could flip the decision, the DCT-I decides,
-and only the accepted degree is measured by it.  Values that reach a
-series are computed by the same floating-point operations as without
-the reuse, the screen and the half grid.
+error would give.  An odd series (the inverse) is measured on the nodes
+of x > 0 alone, by one DCT-II of length M/2, and states the error and
+bound of the measurement that accepted it.  Other series state the
+values the DCT-I gives without the reuse and the screen.
 
 A series carries two degrees.  ``degree_used`` is the degree d of the
 stored coefficients: evaluating the series takes about 2 sqrt(d) numpy
@@ -235,8 +233,8 @@ class _Grid:
     there are built once per M.  Only the latest M is kept, which bounds
     the memory by one grid.  The end points' arccos and target values
     do not depend on M and are built once.  An odd grid keeps only the
-    nodes j < M/2, with the same bits: they hold all of (a, b) for the
-    a > 0 that odd series are certified on.
+    nodes j < M/2, with the same bits, and measures there: they hold all
+    of (a, b) for the a > 0 that odd series are certified on.
     """
 
     def __init__(self, target, interval: tuple, odd: bool = False):
@@ -262,8 +260,7 @@ class _Grid:
         p_ends = np.cos(np.outer(self.end_angles, np.arange(len(c)))) @ c
         return float(np.max(np.abs(p_ends - self.end_values)))
 
-    def measure(self, c: np.ndarray, end_err: float | None = None, degree: int = 0,
-                half: bool = False) -> tuple:
+    def measure(self, c: np.ndarray, end_err: float | None = None, degree: int = 0) -> tuple:
         """Sup error against the target, and a bound on sup |P| on [-1, 1].
 
         P = sum c_k T_k is evaluated by one DCT-I on the extrema
@@ -277,13 +274,13 @@ class _Grid:
         for the chopped terms that dominate P - target between grid
         points.  The global bound is the smaller of the grid maximum of
         |P| times 1/cos(pi/32) and sum |c_k|, both bounds on sup |P|.
-        With half set (odd grid, odd P), P(x_j) for j < M/2 is one DCT-II
-        of length M/2 over (c_1, c_3, ...) / 2, and max |P| there is max
-        |P| over the grid; the values differ from the DCT-I's by rounding.
+        On an odd grid, for odd P, P(x_j) for j < M/2 is one DCT-II of
+        length M/2 over (c_1, c_3, ...) / 2, and max |P| there is max |P|
+        over the grid; the values differ from the DCT-I's by rounding.
         """
         d = max(degree, len(c) - 1)
         m = 1 << (_OVERSAMPLE * (d + 1) - 1).bit_length()
-        if half:
+        if self.odd:
             v = np.zeros(m // 2)
             v[: len(c) // 2] = 0.5 * c[1::2]
             p = dct(v, type=2, overwrite_x=True)
@@ -325,16 +322,14 @@ def _certify(
     Dropping the terms above d moves P by at most the tail sum of |c_k|,
     so the first guess is the lowest d whose tail fits 0.9 eps (a tenth
     is the smoothing's share).  The guess steps up by 1.25 until it
-    certifies, walks down by 1.25 until a degree fails, and bisects to
-    the lowest certified degree (within 1%).  A candidate certifies when
-    its sup error against target is at most eps and its global bound at
-    most 1/2.  One whose end-point error alone, times the grid margin,
+    certifies; then one loop walks down by 1.25 until a degree fails and
+    bisects to the lowest certified degree (within 1%).  A candidate
+    certifies when its sup error against target is at most eps and its
+    global bound at most 1/2, and the series states that error and
+    bound.  One whose end-point error alone, times the grid margin,
     exceeds eps fails before its DCT: the full error is at least that.
     The charged degree is the larger of degree0 and the certified one.
-    If odd, the half grid decides a screened-in candidate unless its
-    error lies within tau = 1e-9 max(1, sum |c_k|) of eps or its bound
-    within tau of 1/2, where the DCT-I decides; tau is over 10^6 times
-    their rounding gap.  Only the accepted degree then gets a DCT-I.
+    If odd, every measurement is on the half grid.
     """
     a, b = interval
     grid = _Grid(target, interval, odd)
@@ -347,17 +342,11 @@ def _certify(
             c[0::2] = 0.0
 
         def attempt(d):
-            """(d, err, gbound) if the chop to degree d certifies, else None;
-            err and gbound are None when the half grid decided."""
+            """(d, err, gbound) if the chop to degree d certifies, else None."""
             chop = c[: d + 1]
             end_err = grid.end_error(chop)
             if _GRID_MARGIN * end_err > eps:
                 return None
-            if odd:
-                err, gbound = grid.measure(chop, end_err, half=True)
-                tau = 1e-9 * max(1.0, float(np.sum(np.abs(chop))))
-                if min(abs(err - eps), abs(gbound - 0.5)) > tau:
-                    return (d, None, None) if err <= eps and gbound <= 0.5 else None
             err, gbound = grid.measure(chop, end_err)
             return (d, err, gbound) if err <= eps and gbound <= 0.5 else None
 
@@ -368,23 +357,15 @@ def _certify(
             lo, hi = hi, min(d_top, math.ceil(hi * _ESCALATION))
             best = attempt(hi)
         if best is not None:
-            while lo == 0 and hi > 1:
-                d = max(1, int(hi / _ESCALATION))
+            # Walk down while no degree has failed (lo == 0), then bisect.
+            while hi - lo > max(1, hi // 100):
+                d = (lo + hi) // 2 if lo else max(1, int(hi / _ESCALATION))
                 cand = attempt(d)
                 if cand is None:
                     lo = d
                 else:
                     hi, best = d, cand
-            while hi - lo > max(1, hi // 100):
-                mid = (lo + hi) // 2
-                cand = attempt(mid)
-                if cand is None:
-                    lo = mid
-                else:
-                    hi, best = mid, cand
             d, err, gbound = best
-            if err is None:
-                err, gbound = grid.measure(c[: d + 1])
             return ChebyshevSeries(
                 degree=max(degree0, d),
                 coefficients=c[: d + 1],
