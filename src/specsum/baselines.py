@@ -273,7 +273,8 @@ def classical_schatten_p(A: SymmetricMatrix, p: int, eps: float,
     For SPD A the norm is Tr[A^p]^{1/p}; the monomial x^p is replaced
     by its truncated Chebyshev expansion when the tail bound
     2 exp(-d^2 / 2p) already meets the per-eigenvalue budget at degree
-    d < p, and by the exact expansion otherwise.
+    d < p, and by the exact expansion otherwise.  p is refused when the
+    budget underflows to 0 or the series' rounding rho(P) exceeds it.
     """
     p = _require_schatten_order(p)
     _require_eps(eps)
@@ -282,8 +283,11 @@ def classical_schatten_p(A: SymmetricMatrix, p: int, eps: float,
     norm = A.stats.spectral_norm
     # Per-eigenvalue truncation budget relative to Tr[A^p] >= ||A||^p.
     eps_m = eps / 2.0 * norm**p / n
-    d = min(p, math.ceil(math.sqrt(2.0 * p * math.log(2.0 / eps_m))))
-    series = approx_monomial(p, d)
+    if eps_m > 0:
+        series = approx_monomial(p, min(p, math.ceil(math.sqrt(2.0 * p * math.log(2.0 / eps_m)))))
+    if eps_m == 0 or series.evaluation_error > eps_m:
+        raise ValueError(f"p = {p} is too large for this input: the per-eigenvalue budget "
+                         f"eps ||A||^p / (2n) = {eps_m:.3e} does not hold the series' rounding")
     mean, stderr = _spectral_quadform(A, series, cfg)
     value = max(mean, 0.0) ** (1.0 / p)
     exact = exact_spectral_sum(A, "x_pow_p", p) ** (1.0 / p)

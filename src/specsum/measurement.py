@@ -300,7 +300,8 @@ def inner_product_estimate(be: BlockEncoding, eps: float, delta: float,
     Emulated at the amplitude level: the true overlap, the mean of the
     payload's eigenvalues, is perturbed per the base amplitude-estimation
     success model in the encoding's mode, and the median of
-    ceil(18 ln(1/delta)) repetitions is returned.
+    ceil(18 ln(1/delta)) repetitions is returned.  The bound adds the
+    encoding's be.eps / be.alpha, as trace_estimate_abs adds n * be.eps.
 
     Args:
         be: Block-encoding whose normalized trace is the overlap.
@@ -328,7 +329,7 @@ def inner_product_estimate(be: BlockEncoding, eps: float, delta: float,
     value, failed = median_amplify(draw, reps)
     return Estimate(
         value=value,
-        abs_error_bound=eps,
+        abs_error_bound=eps + be.eps / be.alpha,
         success_prob=1.0 - 2.0 * delta,
         queries_charged=reps * t * be.use_cost,
         seed=seed,

@@ -117,6 +117,19 @@ class TestClassicalOthers:
         assert rep.exact == pytest.approx(exact)
         assert rep.passed
 
+    @pytest.mark.parametrize("norm", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_schatten_passes_or_refuses(self, n, norm):
+        """No p reports a missed guarantee: each run passes or names p as too large."""
+        A = generate_spd(n, 10.0, "log_uniform", norm, 0)
+        for p in [*range(1, 81), *range(90, 401, 10)]:
+            try:
+                rep = classical_schatten_p(A, p, 0.1, ProbeConfig(num_probes=64, seed=1))
+            except ValueError as exc:
+                assert str(exc).startswith(f"p = {p} is too large for this input"), exc
+            else:
+                assert rep.passed, p
+
     def test_schatten_two_is_frobenius(self):
         A = _matrix(seed=11)
         rep = classical_schatten_p(A, 2, 0.05, ProbeConfig(num_probes=1024, seed=2))

@@ -19,7 +19,8 @@ from specsum.measurement import (
     trace_estimate_abs,
     trace_product_estimate,
 )
-from specsum.qmodel import qram_block_encoding
+from specsum.polyapprox import approx_log
+from specsum.qmodel import apply_svt, qram_block_encoding
 from specsum.rng import stream
 
 from dense_views import dense, eigenbasis
@@ -141,6 +142,13 @@ class TestInnerProduct:
         hits = sum(abs(inner_product_estimate(be, 0.01, 0.1, seed=s).value - overlap) <= 0.01
                    for s in range(40))
         assert hits >= 36
+
+    def test_bound_carries_the_encoding_error(self):
+        series = approx_log(1 / 4, 1e-2)
+        svt = inner_product_estimate(apply_svt(qram_block_encoding(self.A), series), 0.01, 0.05)
+        assert svt.abs_error_bound == 0.01 + series.evaluation_error
+        assert svt.abs_error_bound - 0.01 == pytest.approx(8.58e-15, rel=1e-3)
+        assert inner_product_estimate(qram_block_encoding(self.A), 0.01, 0.05).abs_error_bound == 0.01
 
 
 class TestHadamardTest:
