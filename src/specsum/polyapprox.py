@@ -26,10 +26,10 @@ and keeps only the latest; the candidates of one chop revisit few M.
 Each candidate is first evaluated at the interval's two end points, in
 closed form: if that error alone, with the grid margin, exceeds eps,
 the candidate fails without its DCT, which is the decision the full
-error would give.  An odd series (the inverse) is measured on the nodes
-of x > 0 alone, by one DCT-II of length M/2, and states the error and
-bound of the measurement that accepted it.  Other series state the
-values the DCT-I gives without the reuse and the screen.
+error would give.  The reuse and the screen change no value.  An odd
+series (the inverse) is measured on the nodes of x > 0 alone, by one
+DCT-II of length M/2 per candidate and no DCT-I, and states the error
+and bound of the measurement that accepted it.
 
 A series carries two degrees.  ``degree_used`` is the degree d of the
 stored coefficients: evaluating the series takes about 2 sqrt(d) numpy
