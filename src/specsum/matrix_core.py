@@ -43,6 +43,10 @@ SYMMETRY_TOL = 1e-12
 class SymmetricMatrix:
     """Dense real symmetric matrix with a lazily cached spectrum.
 
+    The input is copied once.  The copy is symmetrized as 0.5 A + 0.5 A^T,
+    which cannot overflow, only when it is not bit-for-bit symmetric, so
+    an exactly symmetric input keeps its bits.
+
     Attributes:
         n: Dimension.
         entries: (n, n) finite float array, exactly symmetric, read-only.
@@ -60,13 +64,16 @@ class SymmetricMatrix:
             raise ValueError("entries must be a square matrix")
         if a.shape[0] != self.n:
             raise ValueError("dimension mismatch between n and entries")
-        finite = np.isfinite(a)
-        if not finite.all():
-            bad = np.argwhere(~finite)
+        if not np.isfinite(a).all():
+            bad = np.argwhere(~np.isfinite(a))
             named = ", ".join(f"[{i}, {j}] = {a[i, j]}" for i, j in bad[:4])
             more = f" and {len(bad) - 4} more" if len(bad) > 4 else ""
             raise ValueError(f"non-finite matrix entries: {named}{more}")
-        a = 0.5 * (a + a.T)
+        # Compared as integers, so that -0.0 against 0.0 is symmetrized to 0.0.
+        bits = a.view(np.int64)
+        if not np.array_equal(bits, bits.T):
+            a *= 0.5
+            a = a + a.T
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -157,10 +164,15 @@ def load_matrix_market(path) -> SymmetricMatrix:
     if scipy.sparse.issparse(m):
         m = m.toarray()
     m = np.asarray(m, dtype=float)
-    gap = np.max(np.abs(m - m.T))
+    # One n x n buffer, made absolute in place and freed before
+    # SymmetricMatrix copies m.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.subtract(m, m.T)
+        gap = np.abs(d, out=d).max()
+    del d
     # A non-finite gap means non-finite entries, which SymmetricMatrix
-    # rejects by name.
-    if np.isfinite(gap) and gap > SYMMETRY_TOL:
+    # rejects by name, or finite entries whose difference overflowed.
+    if gap > SYMMETRY_TOL if np.isfinite(gap) else np.isfinite(m).all():
         raise ValueError(
             f"asymmetric beyond tolerance: max |a_ij - a_ji| = {gap:.3e} > {SYMMETRY_TOL:.0e}"
         )

@@ -126,6 +126,14 @@ class TestEstimate:
         assert res.exit_code == 2
         assert "non-finite matrix entries: [0, 1] = nan, [1, 0] = nan" in res.output
 
+    def test_asymmetry_whose_difference_overflows_exits_two(self, tmp_path, runner):
+        path = tmp_path / "asym.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n-1e308\n1e308\n1.0\n")
+        res = runner.invoke(main, ["estimate", "--matrix", str(path),
+                                   "--algorithm", "logdet_svt"])
+        assert res.exit_code == 2, res.output
+        assert "asymmetric beyond tolerance" in res.output
+
     def test_empty_coordinate_file_exits_two(self, tmp_path, runner):
         path = tmp_path / "empty.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n")

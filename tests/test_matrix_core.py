@@ -1,6 +1,8 @@
 """Tests for matrix generation, spectra, and exact oracles."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +58,64 @@ class TestSymmetricMatrix:
         m = SymmetricMatrix(2, np.eye(2))
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
+
+    def test_symmetric_entries_near_overflow_kept(self):
+        a = np.array([[1e308, 0.0], [0.0, 5e307]])
+        m = SymmetricMatrix(2, a)
+        assert np.array_equal(m.entries, a)
+        assert list(m.spectral.eigenvalues) == [1e308, 5e307]
+
+    def test_asymmetric_pair_near_overflow_averages_finite(self):
+        x = 1.7e308
+        y = np.nextafter(x, np.inf)
+        m = SymmetricMatrix(2, np.array([[1.0, x], [y, 1.0]]))
+        assert np.isfinite(m.entries).all()
+        assert m.entries[0, 1] == m.entries[1, 0] == 0.5 * x + 0.5 * y
+
+    def test_bits_kept_or_symmetrized(self):
+        g = np.random.default_rng(37).standard_normal((64, 64))
+        a = g + g.T
+        assert np.array_equal(SymmetricMatrix(64, a).entries.view(np.int64), a.view(np.int64))
+        b = a.copy()
+        b[np.triu_indices(64, 1)] = np.nextafter(b[np.triu_indices(64, 1)], np.inf)
+        assert np.array_equal(SymmetricMatrix(64, b).entries.view(np.int64),
+                              (0.5 * (b + b.T)).view(np.int64))
+
+    def test_signed_zero_pair_is_symmetrized(self):
+        m = SymmetricMatrix(2, np.array([[1.0, -0.0], [0.0, 1.0]]))
+        assert np.array_equal(m.entries.view(np.int64), m.entries.T.view(np.int64))
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation of ``fn()`` beyond what was held before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class TestDenseMemory:
+    """A dense matrix costs its entries plus one working copy."""
+
+    N = 512
+
+    @pytest.fixture(scope="class")
+    def entries(self):
+        g = np.random.default_rng(37).standard_normal((self.N, self.N))
+        return g + g.T
+
+    def test_construction_holds_one_copy(self, entries):
+        peak = _peak_bytes(lambda: SymmetricMatrix(self.N, entries))
+        assert peak <= 1.3 * 8 * self.N**2
+
+    def test_load_holds_the_matrix_and_one_copy(self, entries, tmp_path):
+        path = tmp_path / "a.mtx"
+        save_matrix_market(path, SymmetricMatrix(self.N, entries))
+        peak = _peak_bytes(lambda: load_matrix_market(path))
+        assert peak <= 2.3 * 8 * self.N**2
 
 
 class TestGenerateSpd:
@@ -180,6 +240,14 @@ class TestMatrixMarketIO:
             fh.write("%%MatrixMarket matrix array real general\n2 2\n1.0\n0.5\n0.9\n1.0\n")
         with pytest.raises(ValueError, match="asymmetric"):
             load_matrix_market(path)
+
+    def test_rejects_asymmetry_whose_difference_overflows(self, tmp_path):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n-1e308\n1e308\n1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="asymmetric beyond tolerance"):
+                load_matrix_market(path)
 
     @pytest.mark.parametrize("body", [
         "%%MatrixMarket matrix array real symmetric\n2 2\n1.0\nnan\n1.0\n",
