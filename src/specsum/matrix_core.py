@@ -142,7 +142,7 @@ class MatrixStats:
 def load_matrix_market(path) -> SymmetricMatrix:
     """Read a Matrix Market file (coordinate or array) as a SymmetricMatrix.
 
-    Asymmetry within ``SYMMETRY_TOL`` is repaired as (A + A^T)/2; larger
+    Asymmetry within ``SYMMETRY_TOL`` is repaired as A/2 + A^T/2; larger
     asymmetry is an error.
 
     Args:
@@ -172,7 +172,7 @@ def load_matrix_market(path) -> SymmetricMatrix:
     del d
     # A non-finite gap means non-finite entries, which SymmetricMatrix
     # rejects by name, or finite entries whose difference overflowed.
-    if gap > SYMMETRY_TOL if np.isfinite(gap) else np.isfinite(m).all():
+    if (gap > SYMMETRY_TOL) if np.isfinite(gap) else np.isfinite(m).all():
         raise ValueError(
             f"asymmetric beyond tolerance: max |a_ij - a_ji| = {gap:.3e} > {SYMMETRY_TOL:.0e}"
         )
